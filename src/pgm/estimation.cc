@@ -1,8 +1,6 @@
 #include "pgm/estimation.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <cmath>
 #include <limits>
 
@@ -203,11 +201,6 @@ MarkovRandomField EstimateMrf(const Domain& domain,
       break;
     }
     ++stats->iterations;
-    if (std::getenv("AIM_ESTIMATION_TRACE") != nullptr) {
-      std::cerr << "[est] iter=" << iter << " accepted=" << accepted
-                << " trial=" << trial << " obj=" << new_objective
-                << " grad_max=" << grad_max << "\n";
-    }
     // Step adaptation. An accepted step with negligible improvement is the
     // signature of overshooting across a narrow valley (the step bounces
     // between near-symmetric points), so the base step SHRINKS on a

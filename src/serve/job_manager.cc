@@ -1,74 +1,18 @@
 #include "serve/job_manager.h"
 
-#include <sys/stat.h>
-
 #include <cmath>
 #include <exception>
+#include <filesystem>
 #include <utility>
 
 #include "data/csv.h"
-#include "data/data_source.h"
-#include "data/preprocess.h"
 #include "dp/accountant.h"
-#include "marginal/workload.h"
-#include "mechanisms/aim.h"
 #include "mechanisms/registry.h"
+#include "mechanisms/synthesis.h"
 #include "obs/metrics.h"
-#include "robust/generations.h"
-#include "util/logging.h"
 
 namespace aim {
 namespace {
-
-// mkdir -p for the job directory tree; EEXIST is success.
-Status MakeDirs(const std::string& path) {
-  std::string partial;
-  size_t start = 0;
-  while (start <= path.size()) {
-    size_t end = path.find('/', start);
-    if (end == std::string::npos) end = path.size();
-    partial = path.substr(0, end);
-    start = end + 1;
-    if (partial.empty()) continue;
-    if (mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return InternalError("cannot create directory '" + partial + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return stat(path.c_str(), &st) == 0;
-}
-
-// The same workload vocabulary as aim_cli --workload.
-StatusOr<Workload> BuildWorkload(const Domain& domain,
-                                 const std::string& name) {
-  if (name == "all3way") {
-    return AllKWayWorkload(domain, std::min(3, domain.num_attributes()));
-  }
-  if (name == "all2way") {
-    return AllKWayWorkload(domain, std::min(2, domain.num_attributes()));
-  }
-  if (name.rfind("target:", 0) == 0) {
-    const std::string attr = name.substr(7);
-    const int target = domain.IndexOf(attr);
-    if (target < 0) {
-      return InvalidArgumentError("no attribute named '" + attr + "'");
-    }
-    return TargetWorkload(domain, std::min(3, domain.num_attributes()),
-                          target);
-  }
-  return InvalidArgumentError("unknown workload '" + name +
-                              "' (expected all3way, all2way, or "
-                              "target:<attribute>)");
-}
-
-bool IsValidWorkloadName(const std::string& name) {
-  return name == "all3way" || name == "all2way" ||
-         (name.rfind("target:", 0) == 0 && name.size() > 7);
-}
 
 std::string HexFingerprint(uint64_t fingerprint) {
   char buf[24];
@@ -84,14 +28,16 @@ StatusOr<JobSpec> ParseJobSpec(const JsonValue& json) {
     return InvalidArgumentError("job spec must be a JSON object");
   }
   JobSpec spec;
+  SynthesisSpec& run = spec.run;
+  RegistryOptions& options = run.options;
   spec.tenant = json.GetString("tenant", spec.tenant);
-  spec.dataset = json.GetString("dataset", "");
-  spec.mechanism = json.GetString("mechanism", spec.mechanism);
-  spec.workload = json.GetString("workload", spec.workload);
-  spec.resume_from = json.GetString("resume_from", "");
-  spec.epsilon = json.GetNumber("epsilon", spec.epsilon);
-  spec.delta = json.GetNumber("delta", spec.delta);
-  spec.max_size_mb = json.GetNumber("max_size_mb", spec.max_size_mb);
+  run.input = json.GetString("dataset", "");
+  run.mechanism = json.GetString("mechanism", run.mechanism);
+  run.workload = json.GetString("workload", run.workload);
+  options.resume_path = json.GetString("resume_from", "");
+  run.epsilon = json.GetNumber("epsilon", run.epsilon);
+  run.delta = json.GetNumber("delta", run.delta);
+  options.max_size_mb = json.GetNumber("max_size_mb", options.max_size_mb);
   const double seed = json.GetNumber("seed", 0.0);
   const double records = json.GetNumber("records", -1.0);
   const double bins = json.GetNumber("bins", 32.0);
@@ -99,33 +45,36 @@ StatusOr<JobSpec> ParseJobSpec(const JsonValue& json) {
   if (spec.tenant.empty()) {
     return InvalidArgumentError("tenant must be non-empty");
   }
-  if (spec.dataset.empty()) {
+  if (run.input.empty()) {
     return InvalidArgumentError("job spec needs a 'dataset' path");
   }
-  if (!(spec.epsilon > 0.0)) {
+  if (!(run.epsilon > 0.0)) {
     return InvalidArgumentError("epsilon must be positive");
   }
-  if (!(spec.delta > 0.0 && spec.delta < 1.0)) {
+  if (!(run.delta > 0.0 && run.delta < 1.0)) {
     return InvalidArgumentError("delta must be in (0, 1)");
   }
-  if (!(spec.max_size_mb > 0.0)) {
+  if (!(options.max_size_mb > 0.0)) {
     return InvalidArgumentError("max_size_mb must be positive");
   }
-  if (!IsValidWorkloadName(spec.workload)) {
-    return InvalidArgumentError("unknown workload '" + spec.workload + "'");
+  if (!IsValidWorkloadName(run.workload)) {
+    return InvalidArgumentError("unknown workload '" + run.workload + "'");
   }
   if (!(seed >= 0.0 && seed <= 9.0e15 && seed == std::floor(seed))) {
     return InvalidArgumentError("seed must be a non-negative integer");
   }
-  spec.seed = static_cast<uint64_t>(seed);
-  if (!(records == std::floor(records) && records <= 9.0e15)) {
-    return InvalidArgumentError("records must be an integer");
+  run.seed = static_cast<uint64_t>(seed);
+  // Any value <= 0 means "the estimated total"; the lower bound keeps the
+  // int64 conversion below defined for hostile inputs like -1e300.
+  if (!(records >= -1.0 && records <= 9.0e15 &&
+        records == std::floor(records))) {
+    return InvalidArgumentError("records must be an integer >= -1");
   }
-  spec.records = static_cast<int64_t>(records);
+  options.synthetic_records = static_cast<int64_t>(records);
   if (!(bins >= 1.0 && bins <= 1.0e6 && bins == std::floor(bins))) {
     return InvalidArgumentError("bins must be an integer in [1, 1e6]");
   }
-  spec.bins = static_cast<int>(bins);
+  run.bins = static_cast<int>(bins);
   return spec;
 }
 
@@ -169,11 +118,11 @@ JsonValue Job::ToJson() const {
   JsonValue out = JsonValue::MakeObject();
   out.object()["id"] = JsonValue::MakeString(id);
   out.object()["tenant"] = JsonValue::MakeString(spec.tenant);
-  out.object()["mechanism"] = JsonValue::MakeString(spec.mechanism);
-  out.object()["dataset"] = JsonValue::MakeString(spec.dataset);
-  out.object()["workload"] = JsonValue::MakeString(spec.workload);
-  out.object()["epsilon"] = JsonValue::MakeNumber(spec.epsilon);
-  out.object()["delta"] = JsonValue::MakeNumber(spec.delta);
+  out.object()["mechanism"] = JsonValue::MakeString(spec.run.mechanism);
+  out.object()["dataset"] = JsonValue::MakeString(spec.run.input);
+  out.object()["workload"] = JsonValue::MakeString(spec.run.workload);
+  out.object()["epsilon"] = JsonValue::MakeNumber(spec.run.epsilon);
+  out.object()["delta"] = JsonValue::MakeNumber(spec.run.delta);
   out.object()["rho"] = JsonValue::MakeNumber(rho);
   out.object()["events"] =
       JsonValue::MakeNumber(static_cast<double>(trace.size()));
@@ -210,20 +159,18 @@ StatusOr<std::shared_ptr<Job>> JobManager::Submit(const JobSpec& spec) {
   // Validate everything cheap BEFORE charging the tenant's ledger: a spec
   // that can never run must not cost budget. (A job that fails later —
   // corrupt CSV, mid-run fault — keeps its charge; see serve/tenant.h.)
-  if (!FileExists(spec.dataset)) {
-    return NotFoundError("dataset '" + spec.dataset + "' does not exist");
+  const SynthesisSpec& run = spec.run;
+  std::error_code error;
+  if (!std::filesystem::exists(run.input, error)) {
+    return NotFoundError("dataset '" + run.input + "' does not exist");
   }
-  {
-    std::unique_ptr<Mechanism> probe = MechanismByName(spec.mechanism);
-    if (probe == nullptr) {
-      return InvalidArgumentError("unknown mechanism '" + spec.mechanism +
-                                  "'");
-    }
+  if (MechanismByName(run.mechanism) == nullptr) {
+    return InvalidArgumentError("unknown mechanism '" + run.mechanism + "'");
   }
-  if (!spec.resume_from.empty() && spec.mechanism != "AIM") {
+  if (!run.options.resume_path.empty() && run.mechanism != "AIM") {
     return InvalidArgumentError("resume_from requires mechanism AIM");
   }
-  const double rho = CdpRho(spec.epsilon, spec.delta);
+  const double rho = CdpRho(run.epsilon, run.delta);
   if (!(rho > 0.0)) {
     return InvalidArgumentError("privacy budget converts to rho <= 0");
   }
@@ -241,8 +188,11 @@ StatusOr<std::shared_ptr<Job>> JobManager::Submit(const JobSpec& spec) {
   job->dir = options_.work_dir + "/jobs/" + job->id;
   job->checkpoint_path = job->dir + "/checkpoint";
   job->output_path = job->dir + "/synthetic.csv";
-  Status made = MakeDirs(job->dir);
-  if (!made.ok()) return made;
+  std::filesystem::create_directories(job->dir, error);
+  if (error) {
+    return InternalError("cannot create directory '" + job->dir +
+                         "': " + error.message());
+  }
 
   // The admission charge: the job's whole rho, atomically, under the
   // ledger's own lock. This is the multi-tenant invariant — no interleaving
@@ -421,84 +371,26 @@ void JobManager::RunJob(const std::shared_ptr<Job>& job) {
   };
 
   try {
-    // ---- Load the dataset: shared mmap for stores, parse+preprocess for
-    // raw CSV (same auto-detection as aim_cli).
-    std::shared_ptr<StoreSource> store;
-    std::optional<PreprocessResult> prep;
-    std::optional<DatasetSource> csv_source;
-    const DataSource* source = nullptr;
-    if (IsStoreFile(job->spec.dataset)) {
-      StatusOr<std::shared_ptr<StoreSource>> opened =
-          OpenStoreShared(job->spec.dataset);
-      if (!opened.ok()) return fail(opened.status());
-      store = *opened;
-      source = store.get();
-    } else {
-      StatusOr<RawTable> table = ReadCsv(job->spec.dataset);
-      if (!table.ok()) return fail(table.status());
-      PreprocessOptions prep_options;
-      prep_options.num_bins = job->spec.bins;
-      StatusOr<PreprocessResult> preprocessed =
-          Preprocess(*table, prep_options);
-      if (!preprocessed.ok()) return fail(preprocessed.status());
-      prep.emplace(*std::move(preprocessed));
-      csv_source.emplace(prep->dataset);
-      source = &*csv_source;
-    }
-    const Domain& domain = source->domain();
+    // The submitted spec plus the job-scoped options: every round is
+    // checkpointed into the job's ladder, and candidates are not recorded
+    // (aim_cli's default without --report), so the fingerprint matches the
+    // CLI's and checkpoints are portable between the two.
+    SynthesisSpec run = job->spec.run;
+    run.options.checkpoint_path = job->checkpoint_path;
+    run.options.checkpoint_every_rounds = 1;
+    run.options.checkpoint_generations = options_.checkpoint_generations;
+    run.options.record_candidates = false;
+    run.options.cancel = &job->cancel;
+    StatusOr<Synthesis> prepared = Synthesis::Prepare(
+        run,
+        [this](const std::string& path) { return OpenStoreShared(path); });
+    if (!prepared.ok()) return fail(prepared.status());
     {
       std::lock_guard<std::mutex> lock(job->mu);
-      job->domain = domain;
+      job->domain = prepared->domain();
+      job->fingerprint = prepared->fingerprint();
     }
-
-    StatusOr<Workload> workload = BuildWorkload(domain, job->spec.workload);
-    if (!workload.ok()) return fail(workload.status());
-
-    // ---- Build the mechanism through the registry, with the job-scoped
-    // fault-tolerance and cancellation options.
-    RegistryOptions reg;
-    reg.max_size_mb = job->spec.max_size_mb;
-    reg.checkpoint_path = job->checkpoint_path;
-    reg.checkpoint_every_rounds = 1;
-    reg.checkpoint_generations = options_.checkpoint_generations;
-    reg.resume_path = job->spec.resume_from;
-    reg.synthetic_records = job->spec.records;
-    // aim_cli's default (no --report): keeps the fingerprint aligned with
-    // the CLI so checkpoints are portable between the daemon and the CLI.
-    reg.record_candidates = false;
-    reg.cancel = &job->cancel;
-    std::unique_ptr<Mechanism> mechanism =
-        MechanismByName(job->spec.mechanism, reg);
-    if (mechanism == nullptr) {
-      return fail(InvalidArgumentError("unknown mechanism '" +
-                                       job->spec.mechanism + "'"));
-    }
-
-    if (auto* an_aim = dynamic_cast<AimMechanism*>(mechanism.get())) {
-      const uint64_t fingerprint = AimRunFingerprint(
-          domain, *workload, an_aim->options(), job->rho);
-      {
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->fingerprint = fingerprint;
-      }
-      // Pre-validate a resume ladder so a stale or foreign snapshot is a
-      // typed job failure, not a CHECK abort that takes the daemon down.
-      if (!job->spec.resume_from.empty()) {
-        StatusOr<LoadedGeneration> loaded = LoadLatestValidGeneration(
-            job->spec.resume_from, fingerprint, job->rho);
-        if (!loaded.ok()) {
-          return fail(Status(loaded.status().code(),
-                             "cannot resume from '" + job->spec.resume_from +
-                                 "': " + loaded.status().message()));
-        }
-      }
-    }
-
-    // ---- Run. Same seed derivation as aim_cli, so a daemon job and the
-    // equivalent CLI invocation are byte-identical.
-    Rng rng(job->spec.seed + 0x41494D);
-    MechanismResult result =
-        mechanism->Run(*source, *workload, job->rho, rng);
+    MechanismResult result = prepared->Run();
 
     Status written = Status::Ok();
     if (result.has_synthetic) {

@@ -30,6 +30,7 @@
 
 #include "data/dataset.h"
 #include "mechanisms/mechanism.h"
+#include "mechanisms/synthesis.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/tenant.h"
@@ -39,20 +40,15 @@
 
 namespace aim {
 
-// A validated submission. Field names mirror the aim_cli flags so the
-// daemon-vs-CLI byte-identity contract is visible in the schema itself.
+// A validated submission: the tenant plus the same SynthesisSpec aim_cli
+// fills from its flags, so a job and the equivalent CLI run are described
+// by one type. JSON keys: dataset (-> run.input), mechanism, epsilon,
+// delta, workload, seed, records, bins, max_size_mb, resume_from. RunJob
+// sets the job-scoped options (checkpoint ladder, cancel token,
+// record_candidates) itself.
 struct JobSpec {
   std::string tenant = "default";
-  std::string dataset;               // CSV / .aim store / shard manifest path
-  std::string mechanism = "AIM";
-  double epsilon = 1.0;
-  double delta = 1e-9;
-  std::string workload = "all3way";  // all3way | all2way | target:<attr>
-  uint64_t seed = 0;
-  int64_t records = -1;              // synthetic records; <= 0 = estimated
-  int bins = 32;                     // CSV numeric discretization
-  double max_size_mb = 80.0;
-  std::string resume_from;  // checkpoint base to resume from (optional)
+  SynthesisSpec run;
 };
 
 // Parses and range-validates a POST /jobs body.

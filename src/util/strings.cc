@@ -45,6 +45,13 @@ std::string StripWhitespace(std::string_view input) {
   return std::string(input.substr(begin, end - begin));
 }
 
+bool StripPrefix(std::string_view input, std::string_view prefix,
+                 std::string* rest) {
+  if (input.substr(0, prefix.size()) != prefix) return false;
+  *rest = std::string(input.substr(prefix.size()));
+  return true;
+}
+
 bool ParseDouble(std::string_view input, double* out) {
   std::string stripped = StripWhitespace(input);
   if (stripped.empty()) return false;

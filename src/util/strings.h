@@ -1,4 +1,5 @@
-// Small string helpers used by the CSV reader and the bench table printers.
+// Small string helpers used by the CSV reader, the bench table printers and
+// the command-line tools' flag parsing.
 
 #ifndef AIM_UTIL_STRINGS_H_
 #define AIM_UTIL_STRINGS_H_
@@ -18,6 +19,11 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 
 // Removes leading/trailing ASCII whitespace.
 std::string StripWhitespace(std::string_view input);
+
+// True when `input` starts with `prefix`; `*rest` then gets the remainder
+// (flag parsing: StripPrefix(arg, "--seed=", &value)).
+bool StripPrefix(std::string_view input, std::string_view prefix,
+                 std::string* rest);
 
 // Parses a double; returns false on malformed input.
 bool ParseDouble(std::string_view input, double* out);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -207,6 +208,22 @@ struct BinaryOpCase {
   std::vector<int> b_attrs;
   std::vector<int> b_sizes;
 };
+
+// Prints a case from its operands' attrs and sizes, e.g. "a0x3_b1x4" for
+// a = {attr 0, size 3}, b = {attr 1, size 4}, so the test names ctest
+// derives from the printed parameter are stable across builds.
+void PrintTo(const BinaryOpCase& c, std::ostream* os) {
+  auto operand = [os](const std::vector<int>& attrs,
+                      const std::vector<int>& sizes) {
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      *os << (i > 0 ? "_" : "") << attrs[i] << "x" << sizes[i];
+    }
+  };
+  *os << "a";
+  operand(c.a_attrs, c.a_sizes);
+  *os << "_b";
+  operand(c.b_attrs, c.b_sizes);
+}
 
 class FactorBinaryOpTest : public ::testing::TestWithParam<BinaryOpCase> {};
 

@@ -28,6 +28,7 @@
 #include "dp/accountant.h"
 #include "marginal/workload.h"
 #include "mechanisms/aim.h"
+#include "mechanisms/synthesis.h"
 #include "obs/metrics.h"
 #include "robust/generations.h"
 #include "serve/job_manager.h"
@@ -35,6 +36,7 @@
 #include "serve/rate_limiter.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace aim {
@@ -45,8 +47,8 @@ namespace {
 // A small mixed-value CSV: integer codes in a modest domain, enough rows
 // that AIM runs a real multi-round schedule (so cancel-mid-job has rounds
 // to interrupt) without making the suite slow.
-std::string WriteTestCsv(const std::string& name, int rows = 400) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+std::string WriteTestCsv(const std::string& dir, int rows = 400) {
+  const std::string path = dir + "/input.csv";
   std::ofstream out(path);
   out << "a,b,c,d\n";
   uint64_t state = 12345;
@@ -69,11 +71,11 @@ std::string ReadFileBytes(const std::string& path) {
 JobSpec TestSpec(const std::string& dataset) {
   JobSpec spec;
   spec.tenant = "t0";
-  spec.dataset = dataset;
-  spec.epsilon = 1.0;
-  spec.delta = 1e-9;
-  spec.workload = "all2way";
-  spec.seed = 7;
+  spec.run.input = dataset;
+  spec.run.epsilon = 1.0;
+  spec.run.delta = 1e-9;
+  spec.run.workload = "all2way";
+  spec.run.seed = 7;
   return spec;
 }
 
@@ -251,11 +253,11 @@ TEST(JobSpecTest, ParsesAndValidates) {
   StatusOr<JobSpec> spec = ParseJobSpec(*body);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->tenant, "t1");
-  EXPECT_EQ(spec->mechanism, "AIM");  // default
-  EXPECT_DOUBLE_EQ(spec->epsilon, 0.5);
-  EXPECT_EQ(spec->seed, 42u);
-  EXPECT_EQ(spec->records, 100);
-  EXPECT_EQ(spec->bins, 8);
+  EXPECT_EQ(spec->run.mechanism, "AIM");  // default
+  EXPECT_DOUBLE_EQ(spec->run.epsilon, 0.5);
+  EXPECT_EQ(spec->run.seed, 42u);
+  EXPECT_EQ(spec->run.options.synthetic_records, 100);
+  EXPECT_EQ(spec->run.bins, 8);
 
   auto bad = [](const std::string& json) {
     StatusOr<JsonValue> parsed = ParseJson(json);
@@ -270,13 +272,35 @@ TEST(JobSpecTest, ParsesAndValidates) {
   EXPECT_TRUE(bad(R"({"dataset":"/d.csv","bins":0})"));
 }
 
+// "records" comes from outside the program: a value far below int64's range
+// must be refused before the integer conversion (which would be undefined),
+// while every value in [-1, 0] keeps meaning "the estimated total".
+TEST(JobSpecTest, RejectsRecordsOutsideInt64Range) {
+  auto parse = [](const std::string& records) {
+    StatusOr<JsonValue> parsed =
+        ParseJson(R"({"dataset":"/d.csv","records":)" + records + "}");
+    EXPECT_TRUE(parsed.ok()) << records;
+    return ParseJobSpec(*parsed);
+  };
+  for (const char* records : {"-1e300", "-2", "-1.5", "1e300"}) {
+    StatusOr<JobSpec> spec = parse(records);
+    ASSERT_FALSE(spec.ok()) << records;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << records;
+  }
+  for (const char* records : {"-1", "0"}) {
+    StatusOr<JobSpec> spec = parse(records);
+    ASSERT_TRUE(spec.ok()) << records << ": " << spec.status().ToString();
+    EXPECT_LE(spec->run.options.synthetic_records, 0) << records;
+  }
+}
+
 // ------------------------------------------------------- job lifecycle ----
 
 class ServeJobTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dataset_ = WriteTestCsv("serve_jobs.csv");
-    work_dir_ = ::testing::TempDir() + "/aimd_test";
+    work_dir_ = testing_util::PerTestDir();
+    dataset_ = WriteTestCsv(work_dir_);
   }
   std::string dataset_;
   std::string work_dir_;
@@ -315,7 +339,7 @@ TEST_F(ServeJobTest, RunsJobAndMatchesDirectRunByteForByte) {
   StatusOr<RawTable> table = ReadCsv(dataset_);
   ASSERT_TRUE(table.ok());
   PreprocessOptions prep_options;
-  prep_options.num_bins = spec.bins;
+  prep_options.num_bins = spec.run.bins;
   StatusOr<PreprocessResult> prep = Preprocess(*table, prep_options);
   ASSERT_TRUE(prep.ok());
   const Workload workload = AllKWayWorkload(
@@ -325,9 +349,9 @@ TEST_F(ServeJobTest, RunsJobAndMatchesDirectRunByteForByte) {
   aim_options.record_candidates = false;
   AimMechanism mechanism(aim_options);
   DatasetSource direct_source(prep->dataset);
-  Rng rng(spec.seed + 0x41494D);
+  Rng rng(spec.run.seed + kRunSeedOffset);
   MechanismResult direct = mechanism.Run(
-      direct_source, workload, CdpRho(spec.epsilon, spec.delta), rng);
+      direct_source, workload, CdpRho(spec.run.epsilon, spec.run.delta), rng);
   const std::string direct_path = work_dir_ + "/direct.csv";
   ASSERT_TRUE(WriteCsv(direct.synthetic, direct_path).ok());
   EXPECT_EQ(ReadFileBytes(job->output_path), ReadFileBytes(direct_path));
@@ -400,7 +424,7 @@ TEST_F(ServeJobTest, CancelMidJobLeavesResumableCheckpointAndResumeMatches) {
   // finish and produce output byte-identical to the uninterrupted
   // reference — the strongest form of "the checkpoint was resumable".
   JobSpec resume_spec = spec;
-  resume_spec.resume_from = (*victim)->checkpoint_path;
+  resume_spec.run.options.resume_path = (*victim)->checkpoint_path;
   StatusOr<std::shared_ptr<Job>> resumed = manager.Submit(resume_spec);
   ASSERT_TRUE(resumed.ok());
   ASSERT_TRUE(manager.WaitIdle(300.0));
@@ -429,7 +453,7 @@ TEST_F(ServeJobTest, ShutdownDrainsRunningAndQueuedJobs) {
   JobSpec spec = TestSpec(dataset_);
   StatusOr<std::shared_ptr<Job>> running = manager.Submit(spec);
   ASSERT_TRUE(running.ok());
-  spec.seed = 8;
+  spec.run.seed = 8;
   StatusOr<std::shared_ptr<Job>> queued = manager.Submit(spec);
   ASSERT_TRUE(queued.ok());
 
@@ -480,9 +504,9 @@ TEST_F(ServeJobTest, ShutdownDrainsRunningAndQueuedJobs) {
 class ServeHttpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dataset_ = WriteTestCsv("serve_http.csv");
     options_.port = 0;
-    options_.jobs.work_dir = ::testing::TempDir() + "/aimd_http";
+    options_.jobs.work_dir = testing_util::PerTestDir();
+    dataset_ = WriteTestCsv(options_.jobs.work_dir);
     options_.jobs.workers = 1;
     options_.default_tenant_rho = 0.0;
     options_.rate_burst = 100.0;

@@ -1,11 +1,18 @@
 // Shared helpers for the test suites: brute-force reference computations to
-// validate the factor algebra and graphical-model inference.
+// validate the factor algebra and graphical-model inference, and per-test
+// scratch directories.
 
 #ifndef AIM_TESTS_TEST_UTIL_H_
 #define AIM_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "data/domain.h"
 #include "factor/factor.h"
@@ -64,6 +71,24 @@ inline std::vector<double> BruteForceMarginal(const MarkovRandomField& model,
   });
   for (double& v : unnormalized) v *= model.total() / z;
   return unnormalized;
+}
+
+// A fresh, empty directory private to the running test:
+// <TempDir>/<suite>.<test>.<pid>. Cases that run concurrently (ctest -j)
+// never share files, and a rerun starts from nothing.
+inline std::string PerTestDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." +
+                     info->name() + "." + std::to_string(getpid());
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized names
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 inline double MaxAbsDiff(const std::vector<double>& a,

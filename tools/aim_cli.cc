@@ -19,24 +19,17 @@
 #include <string>
 
 #include "data/csv.h"
-#include "data/data_source.h"
-#include "data/preprocess.h"
-#include "dp/accountant.h"
 #include "eval/experiment.h"
 #include "marginal/marginal.h"
-#include "marginal/workload.h"
 #include "mechanisms/aim.h"
+#include "mechanisms/synthesis.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "robust/fault.h"
-#include "robust/generations.h"
-#include "robust/snapshot.h"
 #include "robust/supervisor.h"
-#include "store/reader.h"
 #include "uncertainty/bounds.h"
 #include "util/cancel.h"
-#include "util/rng.h"
 #include "util/signal_cancel.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -44,24 +37,14 @@
 namespace {
 
 struct CliFlags {
-  std::string input;
+  // Input, workload, budget, seed and mechanism options (the latter hold
+  // --max_size_mb, --records, --checkpoint-*, --resume and --deadline-s).
+  aim::SynthesisSpec run;
   std::string output = "synthetic.csv";
-  double epsilon = 1.0;
-  double delta = 1e-9;
-  std::string workload = "all3way";
-  int bins = 32;
-  double max_size_mb = 80.0;
-  int64_t records = -1;
-  uint64_t seed = 0;
   int threads = 0;  // 0 = automatic (AIM_THREADS env, else hardware)
   bool report = false;
   std::string trace_out;    // JSONL round trace ("-"/"stderr" = stderr)
   std::string metrics_out;  // metrics JSON dump ("-" = stdout)
-  std::string checkpoint_out;  // atomic AimSnapshot written at round ends
-  int checkpoint_every = 1;
-  int checkpoint_generations = 1;  // rotated snapshot generations
-  std::string resume;       // snapshot (generation base) to resume from
-  double deadline_s = 0.0;  // wall-clock budget; <= 0 = none
   double stall_timeout_s = 0.0;  // watchdog stall window; <= 0 = none
 };
 
@@ -117,18 +100,12 @@ int Fail(const aim::Status& status) {
   return aim::ExitCodeForStatus(status);
 }
 
-bool Consume(const std::string& arg, const std::string& prefix,
-             std::string* rest) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *rest = arg.substr(prefix.size());
-  return true;
-}
-
 }  // namespace
 
 static int RunCli(int argc, char** argv) {
   using namespace aim;
   CliFlags flags;
+  RegistryOptions& options = flags.run.options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i], value;
     if (arg == "--report") {
@@ -140,62 +117,65 @@ static int RunCli(int argc, char** argv) {
         std::cout << point << "\n";
       }
       return 0;
-    } else if (Consume(arg, "--input=", &value) ||
-               Consume(arg, "--data=", &value)) {
-      flags.input = value;
-    } else if (Consume(arg, "--output=", &value)) {
+    } else if (StripPrefix(arg, "--input=", &value) ||
+               StripPrefix(arg, "--data=", &value)) {
+      flags.run.input = value;
+    } else if (StripPrefix(arg, "--output=", &value)) {
       flags.output = value;
-    } else if (Consume(arg, "--workload=", &value)) {
-      flags.workload = value;
-    } else if (Consume(arg, "--epsilon=", &value)) {
-      if (!ParseDouble(value, &flags.epsilon)) return Usage();
-    } else if (Consume(arg, "--delta=", &value)) {
-      if (!ParseDouble(value, &flags.delta)) return Usage();
-    } else if (Consume(arg, "--bins=", &value)) {
+    } else if (StripPrefix(arg, "--workload=", &value)) {
+      if (!IsValidWorkloadName(value)) return Usage();
+      flags.run.workload = value;
+    } else if (StripPrefix(arg, "--epsilon=", &value)) {
+      if (!ParseDouble(value, &flags.run.epsilon)) return Usage();
+    } else if (StripPrefix(arg, "--delta=", &value)) {
+      if (!ParseDouble(value, &flags.run.delta)) return Usage();
+    } else if (StripPrefix(arg, "--bins=", &value)) {
       // ParseInt32 range-checks, so "--bins=4294967297" is a usage error
       // instead of truncating to 1 bin and silently flattening every
       // numeric column.
-      if (!ParseInt32(value, &flags.bins) || flags.bins < 1) return Usage();
-    } else if (Consume(arg, "--max_size_mb=", &value)) {
-      if (!ParseDouble(value, &flags.max_size_mb)) return Usage();
-    } else if (Consume(arg, "--records=", &value)) {
-      if (!ParseInt64(value, &flags.records)) return Usage();
-    } else if (Consume(arg, "--seed=", &value)) {
+      if (!ParseInt32(value, &flags.run.bins) || flags.run.bins < 1) {
+        return Usage();
+      }
+    } else if (StripPrefix(arg, "--max_size_mb=", &value)) {
+      if (!ParseDouble(value, &options.max_size_mb)) return Usage();
+    } else if (StripPrefix(arg, "--records=", &value)) {
+      if (!ParseInt64(value, &options.synthetic_records)) return Usage();
+    } else if (StripPrefix(arg, "--seed=", &value)) {
       // Seeds are unsigned; "--seed=-1" used to bit-cast to 2^64-1 and
       // synthesize from an RNG stream nobody could name. Usage error now.
-      if (!ParseUint64(value, &flags.seed)) return Usage();
-    } else if (Consume(arg, "--threads=", &value)) {
+      if (!ParseUint64(value, &flags.run.seed)) return Usage();
+    } else if (StripPrefix(arg, "--threads=", &value)) {
       if (!ParseInt32(value, &flags.threads) || flags.threads < 0) {
         return Usage();
       }
-    } else if (Consume(arg, "--trace-out=", &value)) {
+    } else if (StripPrefix(arg, "--trace-out=", &value)) {
       flags.trace_out = value;
-    } else if (Consume(arg, "--metrics-out=", &value)) {
+    } else if (StripPrefix(arg, "--metrics-out=", &value)) {
       flags.metrics_out = value;
-    } else if (Consume(arg, "--checkpoint-out=", &value)) {
-      flags.checkpoint_out = value;
-    } else if (Consume(arg, "--checkpoint-every=", &value)) {
-      if (!ParseInt32(value, &flags.checkpoint_every) ||
-          flags.checkpoint_every <= 0) {
+    } else if (StripPrefix(arg, "--checkpoint-out=", &value)) {
+      options.checkpoint_path = value;
+    } else if (StripPrefix(arg, "--checkpoint-every=", &value)) {
+      if (!ParseInt32(value, &options.checkpoint_every_rounds) ||
+          options.checkpoint_every_rounds <= 0) {
         return Usage();
       }
-    } else if (Consume(arg, "--checkpoint-generations=", &value)) {
-      if (!ParseInt32(value, &flags.checkpoint_generations) ||
-          flags.checkpoint_generations <= 0 ||
-          flags.checkpoint_generations > kGenerationScanLimit) {
+    } else if (StripPrefix(arg, "--checkpoint-generations=", &value)) {
+      if (!ParseInt32(value, &options.checkpoint_generations) ||
+          options.checkpoint_generations <= 0 ||
+          options.checkpoint_generations > kGenerationScanLimit) {
         return Usage();
       }
-    } else if (Consume(arg, "--resume=", &value)) {
-      flags.resume = value;
-    } else if (Consume(arg, "--deadline-s=", &value)) {
-      if (!ParseDouble(value, &flags.deadline_s)) return Usage();
-    } else if (Consume(arg, "--stall-timeout-s=", &value)) {
+    } else if (StripPrefix(arg, "--resume=", &value)) {
+      options.resume_path = value;
+    } else if (StripPrefix(arg, "--deadline-s=", &value)) {
+      if (!ParseDouble(value, &options.deadline_seconds)) return Usage();
+    } else if (StripPrefix(arg, "--stall-timeout-s=", &value)) {
       if (!ParseDouble(value, &flags.stall_timeout_s)) return Usage();
     } else {
       return Usage();
     }
   }
-  if (flags.input.empty()) return Usage();
+  if (flags.run.input.empty()) return Usage();
   SetParallelThreads(flags.threads);
   InitFaultsFromEnv();
 
@@ -215,88 +195,30 @@ static int RunCli(int argc, char** argv) {
   }
   if (!flags.metrics_out.empty()) SetMetricsEnabled(true);
 
-  // ---- Load: a raw CSV (parsed + Appendix-A preprocessed) or an .aim
-  // columnar store / shard manifest written by csv2aim (mmap'd and streamed
-  // — the records are never materialized). Auto-detected from the file
-  // content, not the extension.
-  std::unique_ptr<StoreSource> store;
-  std::optional<PreprocessResult> prep;
-  std::optional<DatasetSource> csv_source;
-  const DataSource* source = nullptr;
-  if (IsStoreFile(flags.input)) {
-    StatusOr<std::unique_ptr<StoreSource>> opened =
-        StoreSource::Open(flags.input);
-    if (!opened.ok()) return Fail(opened.status());
-    store = std::move(*opened);
-    source = store.get();
+  // ---- Load, workload, budget, mechanism and resume check: the pipeline
+  // shared with aimd. SIGINT/SIGTERM trip the process-wide token, which the
+  // mechanism polls at round boundaries.
+  options.record_candidates = flags.report;
+  CancelToken& cancel = ProcessCancelToken();
+  options.cancel = &cancel;
+  StatusOr<Synthesis> prepared = Synthesis::Prepare(flags.run);
+  if (!prepared.ok()) return Fail(prepared.status());
+  Synthesis& run = *prepared;
+  const Domain& domain = run.domain();
+  if (const StoreSource* store = run.store()) {
     std::cerr << "mapped store: " << store->num_records() << " records, "
-              << store->domain().num_attributes() << " attributes, "
+              << domain.num_attributes() << " attributes, "
               << store->num_shards() << " shard(s), "
               << (store->mapped_bytes() >> 20) << " MB\n";
   } else {
-    StatusOr<RawTable> table = ReadCsv(flags.input);
-    if (!table.ok()) return Fail(table.status());
-    PreprocessOptions prep_options;
-    prep_options.num_bins = flags.bins;
-    StatusOr<PreprocessResult> preprocessed = Preprocess(*table, prep_options);
-    if (!preprocessed.ok()) return Fail(preprocessed.status());
-    prep.emplace(*std::move(preprocessed));
-    csv_source.emplace(prep->dataset);
-    source = &*csv_source;
-    std::cerr << "loaded " << source->num_records() << " records, "
-              << source->domain().num_attributes() << " attributes\n";
+    std::cerr << "loaded " << run.source().num_records() << " records, "
+              << domain.num_attributes() << " attributes\n";
   }
-  const Domain& domain = source->domain();
-
-  // ---- Workload.
-  Workload workload;
-  if (flags.workload == "all3way") {
-    workload = AllKWayWorkload(
-        domain, std::min(3, domain.num_attributes()));
-  } else if (flags.workload == "all2way") {
-    workload = AllKWayWorkload(
-        domain, std::min(2, domain.num_attributes()));
-  } else if (flags.workload.rfind("target:", 0) == 0) {
-    std::string name = flags.workload.substr(7);
-    int target = domain.IndexOf(name);
-    if (target < 0) {
-      return Fail(InvalidArgumentError("no attribute named '" + name + "'"));
-    }
-    workload = TargetWorkload(
-        domain, std::min(3, domain.num_attributes()), target);
-  } else {
-    return Usage();
-  }
-  std::cerr << "workload: " << workload.num_queries() << " marginals ("
-            << flags.workload << ")\n";
-
-  // ---- Run AIM.
-  const double rho = CdpRho(flags.epsilon, flags.delta);
-  std::cerr << "privacy: (" << flags.epsilon << ", " << flags.delta
-            << ")-DP = " << rho << "-zCDP\n";
-  AimOptions options;
-  options.max_size_mb = flags.max_size_mb;
-  options.synthetic_records = flags.records;
-  options.record_candidates = flags.report;
-  options.checkpoint_path = flags.checkpoint_out;
-  options.checkpoint_every_rounds = flags.checkpoint_every;
-  options.checkpoint_generations = flags.checkpoint_generations;
-  options.resume_path = flags.resume;
-  options.deadline_seconds = flags.deadline_s;
-
-  // Pre-validate a resume snapshot here so a stale or mismatched file is a
-  // clean CLI error rather than a CHECK failure inside Run. The
-  // generation-aware loader scans newest-first; a corrupt newest generation
-  // is a warning (Run will fall back to the same older generation), only a
-  // ladder with no valid snapshot at all is fatal.
-  if (!flags.resume.empty()) {
-    StatusOr<LoadedGeneration> loaded = LoadLatestValidGeneration(
-        flags.resume, AimRunFingerprint(domain, workload, options, rho), rho);
-    if (!loaded.ok()) {
-      std::cerr << "error: cannot resume from '" << flags.resume
-                << "': " << loaded.status().ToString() << "\n";
-      return ExitCodeForStatus(loaded.status());
-    }
+  std::cerr << "workload: " << run.workload().num_queries()
+            << " marginals (" << flags.run.workload << ")\n";
+  std::cerr << "privacy: (" << flags.run.epsilon << ", " << flags.run.delta
+            << ")-DP = " << run.rho() << "-zCDP\n";
+  if (const std::optional<LoadedGeneration>& loaded = run.resumed()) {
     for (const std::string& rejected : loaded->rejected) {
       std::cerr << "warning: checkpoint generation rejected: " << rejected
                 << "\n";
@@ -310,15 +232,12 @@ static int RunCli(int argc, char** argv) {
               << loaded->snapshot.rho_spent << ")\n";
   }
 
-  // ---- Interrupt safety + stall watchdog. SIGINT/SIGTERM trip the
-  // process-wide token; AIM polls it at round boundaries, forces a final
-  // checkpoint, and winds down — so an interrupted run is resumable from
-  // its newest checkpoint generation. The stall watchdog shares the same
-  // token (its progress probe reads the aim.rounds counter, so it implies
-  // metrics collection — cheap, and output-neutral).
+  // ---- Interrupt safety + stall watchdog. An interrupted run forces a
+  // final checkpoint and winds down, so it is resumable from its newest
+  // checkpoint generation. The stall watchdog shares the same token (its
+  // progress probe reads the aim.rounds counter, so it implies metrics
+  // collection — cheap, and output-neutral).
   InstallSignalCancel();
-  CancelToken& cancel = ProcessCancelToken();
-  options.cancel = &cancel;
   std::optional<RunSupervisor> supervisor;
   if (flags.stall_timeout_s > 0.0) {
     SetMetricsEnabled(true);
@@ -327,9 +246,7 @@ static int RunCli(int argc, char** argv) {
     supervisor.emplace(&cancel, AimRoundProgressProbe(), sup_options);
   }
 
-  AimMechanism mechanism(options);
-  Rng rng(flags.seed + 0x41494D);
-  MechanismResult result = mechanism.Run(*source, workload, rho, rng);
+  MechanismResult result = run.Run();
   if (supervisor.has_value()) supervisor->Stop();
   std::cerr << "AIM: " << result.rounds << " rounds, "
             << result.log.measurements.size() << " measurements, "
@@ -364,9 +281,9 @@ static int RunCli(int argc, char** argv) {
         std::string("interrupted by signal ") +
         std::to_string(ReceivedCancelSignal()) + " after " +
         std::to_string(result.rounds) + " completed rounds" +
-        (flags.checkpoint_out.empty()
+        (options.checkpoint_path.empty()
              ? ""
-             : "; resume with --resume=" + flags.checkpoint_out)));
+             : "; resume with --resume=" + options.checkpoint_path)));
   }
 
   // ---- Write output.
@@ -381,7 +298,7 @@ static int RunCli(int argc, char** argv) {
     UncertaintyQuantifier uq(domain, result);
     TablePrinter report({"workload_marginal", "cells", "supported",
                          "error_bound_95(L1 counts)"});
-    for (const auto& q : workload.queries()) {
+    for (const auto& q : run.workload().queries()) {
       auto bound = uq.BoundFor(q.attrs, result.synthetic);
       std::string names;
       for (int attr : q.attrs) {
@@ -430,10 +347,7 @@ int main(int argc, char** argv) {
   // aborted run leaves no partial artifacts behind.
   try {
     return RunCli(argc, argv);
-  } catch (const aim::FaultInjectedError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return aim::ExitCodeForStatus(aim::InternalError(e.what()));
-  } catch (const std::exception& e) {
+  } catch (const std::exception& e) {  // FaultInjectedError included
     std::cerr << "error: " << e.what() << "\n";
     return aim::ExitCodeForStatus(aim::InternalError(e.what()));
   }

@@ -57,13 +57,6 @@ int Usage() {
   return 2;
 }
 
-bool Consume(const std::string& arg, const std::string& prefix,
-             std::string* rest) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *rest = arg.substr(prefix.size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,22 +69,22 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i], value;
-    if (Consume(arg, "--host=", &value)) {
+    if (StripPrefix(arg, "--host=", &value)) {
       options.host = value;
-    } else if (Consume(arg, "--port=", &value)) {
+    } else if (StripPrefix(arg, "--port=", &value)) {
       int port = 0;
       if (!ParseInt32(value, &port) || port < 0 || port > 65535) {
         return Usage();
       }
       options.port = port;
-    } else if (Consume(arg, "--work-dir=", &value)) {
+    } else if (StripPrefix(arg, "--work-dir=", &value)) {
       options.jobs.work_dir = value;
-    } else if (Consume(arg, "--job-workers=", &value)) {
+    } else if (StripPrefix(arg, "--job-workers=", &value)) {
       if (!ParseInt32(value, &options.jobs.workers) ||
           options.jobs.workers < 1 || options.jobs.workers > 256) {
         return Usage();
       }
-    } else if (Consume(arg, "--tenant=", &value)) {
+    } else if (StripPrefix(arg, "--tenant=", &value)) {
       const size_t colon = value.rfind(':');
       double rho = 0.0;
       if (colon == std::string::npos || colon == 0 ||
@@ -99,21 +92,21 @@ int main(int argc, char** argv) {
         return Usage();
       }
       tenants.emplace_back(value.substr(0, colon), rho);
-    } else if (Consume(arg, "--default-tenant-rho=", &value)) {
+    } else if (StripPrefix(arg, "--default-tenant-rho=", &value)) {
       if (!ParseDouble(value, &options.default_tenant_rho)) return Usage();
-    } else if (Consume(arg, "--rate-burst=", &value)) {
+    } else if (StripPrefix(arg, "--rate-burst=", &value)) {
       if (!ParseDouble(value, &options.rate_burst)) return Usage();
-    } else if (Consume(arg, "--rate-per-s=", &value)) {
+    } else if (StripPrefix(arg, "--rate-per-s=", &value)) {
       if (!ParseDouble(value, &options.rate_per_second)) return Usage();
-    } else if (Consume(arg, "--checkpoint-generations=", &value)) {
+    } else if (StripPrefix(arg, "--checkpoint-generations=", &value)) {
       if (!ParseInt32(value, &options.jobs.checkpoint_generations) ||
           options.jobs.checkpoint_generations < 1 ||
           options.jobs.checkpoint_generations > 16) {
         return Usage();
       }
-    } else if (Consume(arg, "--threads=", &value)) {
+    } else if (StripPrefix(arg, "--threads=", &value)) {
       if (!ParseInt32(value, &threads) || threads < 0) return Usage();
-    } else if (Consume(arg, "--metrics-out=", &value)) {
+    } else if (StripPrefix(arg, "--metrics-out=", &value)) {
       metrics_out = value;
     } else {
       return Usage();

@@ -83,13 +83,6 @@ int Usage() {
   return 2;
 }
 
-bool Consume(const std::string& arg, const std::string& prefix,
-             std::string* rest) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *rest = arg.substr(prefix.size());
-  return true;
-}
-
 // Prints a typed error and maps its Status category to the process exit
 // code (exit 3 stays reserved for claim refutation, which is not a Status).
 int Fail(const aim::Status& status) {
@@ -111,40 +104,40 @@ int RunCli(int argc, char** argv) {
       flags.csv = true;
     } else if (arg == "--require-claim") {
       flags.require_claim = true;
-    } else if (Consume(arg, "--mechanism=", &value)) {
+    } else if (StripPrefix(arg, "--mechanism=", &value)) {
       flags.mechanism = value;
-    } else if (Consume(arg, "--epsilon=", &value)) {
+    } else if (StripPrefix(arg, "--epsilon=", &value)) {
       if (!ParseDouble(value, &flags.epsilon)) return Usage();
-    } else if (Consume(arg, "--delta=", &value)) {
+    } else if (StripPrefix(arg, "--delta=", &value)) {
       if (!ParseDouble(value, &flags.delta)) return Usage();
-    } else if (Consume(arg, "--pairs=", &value)) {
+    } else if (StripPrefix(arg, "--pairs=", &value)) {
       // ParseInt32 range-checks, so a --pairs past INT_MAX is a usage
       // error instead of a silent truncation to some smaller pair count.
       if (!ParseInt32(value, &flags.pairs) || flags.pairs < 1) {
         return Usage();
       }
-    } else if (Consume(arg, "--records=", &value)) {
+    } else if (StripPrefix(arg, "--records=", &value)) {
       if (!ParseInt64(value, &flags.records) || flags.records < 1) {
         return Usage();
       }
-    } else if (Consume(arg, "--domain=", &value)) {
+    } else if (StripPrefix(arg, "--domain=", &value)) {
       flags.domain = value;
-    } else if (Consume(arg, "--stat=", &value)) {
+    } else if (StripPrefix(arg, "--stat=", &value)) {
       flags.stat = value;
-    } else if (Consume(arg, "--confidence=", &value)) {
+    } else if (StripPrefix(arg, "--confidence=", &value)) {
       if (!ParseDouble(value, &flags.confidence)) return Usage();
-    } else if (Consume(arg, "--seed=", &value)) {
+    } else if (StripPrefix(arg, "--seed=", &value)) {
       // Seeds are unsigned; "--seed=-1" used to bit-cast to 2^64-1, which
       // silently audited a different RNG stream than the operator wrote
       // down. Now it is a usage error.
       if (!ParseUint64(value, &flags.seed)) return Usage();
-    } else if (Consume(arg, "--threads=", &value)) {
+    } else if (StripPrefix(arg, "--threads=", &value)) {
       if (!ParseInt32(value, &flags.threads) || flags.threads < 0) {
         return Usage();
       }
-    } else if (Consume(arg, "--trace-out=", &value)) {
+    } else if (StripPrefix(arg, "--trace-out=", &value)) {
       flags.trace_out = value;
-    } else if (Consume(arg, "--metrics-out=", &value)) {
+    } else if (StripPrefix(arg, "--metrics-out=", &value)) {
       flags.metrics_out = value;
     } else {
       return Usage();

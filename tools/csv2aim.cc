@@ -55,13 +55,6 @@ int Usage() {
   return 2;
 }
 
-bool Consume(const std::string& arg, const std::string& prefix,
-             std::string* rest) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *rest = arg.substr(prefix.size());
-  return true;
-}
-
 // Splits one CSV line on commas (same dialect as data/csv.cc: no quoting).
 void SplitFields(const std::string& line, std::vector<std::string>* out) {
   out->clear();
@@ -212,16 +205,16 @@ int RunCli(int argc, char** argv) {
         std::cout << point << "\n";
       }
       return 0;
-    } else if (Consume(arg, "--input=", &value)) {
+    } else if (StripPrefix(arg, "--input=", &value)) {
       input = value;
-    } else if (Consume(arg, "--output=", &value)) {
+    } else if (StripPrefix(arg, "--output=", &value)) {
       output = value;
-    } else if (Consume(arg, "--bins=", &value)) {
+    } else if (StripPrefix(arg, "--bins=", &value)) {
       // ParseInt32 range-checks; values past INT_MAX used to truncate.
       if (!ParseInt32(value, &bins) || bins < 1) return Usage();
-    } else if (Consume(arg, "--shard-rows=", &value)) {
+    } else if (StripPrefix(arg, "--shard-rows=", &value)) {
       if (!ParseInt64(value, &shard_rows) || shard_rows < 1) return Usage();
-    } else if (Consume(arg, "--domain-sizes=", &value)) {
+    } else if (StripPrefix(arg, "--domain-sizes=", &value)) {
       precoded = true;
       std::vector<std::string> fields;
       SplitFields(value, &fields);
