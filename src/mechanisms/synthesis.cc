@@ -1,6 +1,7 @@
 #include "mechanisms/synthesis.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "data/csv.h"
@@ -17,20 +18,14 @@ StatusOr<std::shared_ptr<StoreSource>> OpenStore(const std::string& path) {
   return std::shared_ptr<StoreSource>(std::move(*opened));
 }
 
-}  // namespace
-
 bool IsValidWorkloadName(const std::string& name) {
   return name == "all3way" || name == "all2way" ||
          (name.rfind("target:", 0) == 0 && name.size() > 7);
 }
 
+// Expects a name IsValidWorkloadName accepts.
 StatusOr<Workload> BuildWorkload(const Domain& domain,
                                  const std::string& name) {
-  if (!IsValidWorkloadName(name)) {
-    return InvalidArgumentError("unknown workload '" + name +
-                                "' (expected all3way, all2way, or "
-                                "target:<attribute>)");
-  }
   const int max_way = std::min(name == "all2way" ? 2 : 3,
                                domain.num_attributes());
   if (name.rfind("target:", 0) != 0) return AllKWayWorkload(domain, max_way);
@@ -42,8 +37,30 @@ StatusOr<Workload> BuildWorkload(const Domain& domain,
   return TargetWorkload(domain, max_way, target);
 }
 
+}  // namespace
+
+Status ValidateSynthesisSpec(const SynthesisSpec& spec) {
+  if (!(spec.epsilon > 0.0 && std::isfinite(spec.epsilon))) {
+    return InvalidArgumentError("epsilon must be positive and finite");
+  }
+  if (!(spec.delta > 0.0 && spec.delta < 1.0)) {
+    return InvalidArgumentError("delta must be in (0, 1)");
+  }
+  if (!(spec.options.max_size_mb > 0.0)) {
+    return InvalidArgumentError("max_size_mb must be positive");
+  }
+  if (!IsValidWorkloadName(spec.workload)) {
+    return InvalidArgumentError("unknown workload '" + spec.workload +
+                                "' (expected all3way, all2way, or "
+                                "target:<attribute>)");
+  }
+  return Status::Ok();
+}
+
 StatusOr<Synthesis> Synthesis::Prepare(const SynthesisSpec& spec,
                                        const StoreOpener& open_store) {
+  Status valid = ValidateSynthesisSpec(spec);
+  if (!valid.ok()) return valid;
   Synthesis run;
   run.seed_ = spec.seed;
 

@@ -26,21 +26,22 @@ namespace aim {
 // A run with seed s draws from Rng(s + kRunSeedOffset) ("AIM" in ASCII).
 inline constexpr uint64_t kRunSeedOffset = 0x41494D;
 
-// The workload vocabulary: all3way | all2way | target:<attribute>.
-// IsValidWorkloadName needs no data; BuildWorkload also resolves the target.
-bool IsValidWorkloadName(const std::string& name);
-StatusOr<Workload> BuildWorkload(const Domain& domain, const std::string& name);
-
 struct SynthesisSpec {
   std::string input;                 // raw CSV, .aim store or shard manifest
   int bins = 32;                     // numeric discretization (CSV input)
-  std::string workload = "all3way";  // see IsValidWorkloadName
+  std::string workload = "all3way";  // all3way | all2way | target:<attr>
   std::string mechanism = "AIM";     // a MechanismByName name
   double epsilon = 1.0;
   double delta = 1e-9;
   uint64_t seed = 0;
   RegistryOptions options;  // passed to MechanismByName
 };
+
+// INVALID_ARGUMENT unless epsilon is finite and positive, delta is in
+// (0, 1), max_size_mb is positive and the workload name is in the
+// vocabulary. Needs no data, so callers can reject a spec before admitting
+// or loading it; Prepare checks it first.
+Status ValidateSynthesisSpec(const SynthesisSpec& spec);
 
 // Opens a store-format input; the daemon hands in its shared-mapping cache.
 using StoreOpener = std::function<StatusOr<std::shared_ptr<StoreSource>>(

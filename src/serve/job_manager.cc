@@ -48,18 +48,8 @@ StatusOr<JobSpec> ParseJobSpec(const JsonValue& json) {
   if (run.input.empty()) {
     return InvalidArgumentError("job spec needs a 'dataset' path");
   }
-  if (!(run.epsilon > 0.0)) {
-    return InvalidArgumentError("epsilon must be positive");
-  }
-  if (!(run.delta > 0.0 && run.delta < 1.0)) {
-    return InvalidArgumentError("delta must be in (0, 1)");
-  }
-  if (!(options.max_size_mb > 0.0)) {
-    return InvalidArgumentError("max_size_mb must be positive");
-  }
-  if (!IsValidWorkloadName(run.workload)) {
-    return InvalidArgumentError("unknown workload '" + run.workload + "'");
-  }
+  Status valid = ValidateSynthesisSpec(run);
+  if (!valid.ok()) return valid;
   if (!(seed >= 0.0 && seed <= 9.0e15 && seed == std::floor(seed))) {
     return InvalidArgumentError("seed must be a non-negative integer");
   }

@@ -18,6 +18,7 @@
 #include "mechanisms/mwem_pgm.h"
 #include "mechanisms/privbayes_pgm.h"
 #include "mechanisms/registry.h"
+#include "mechanisms/synthesis.h"
 #include "obs/trace.h"
 #include "pgm/estimation.h"
 #include "pgm/junction_tree.h"
@@ -529,6 +530,44 @@ TEST(GaussianBaselineTest, LargerMarginalsGetMoreNoise) {
   double sigma_small = result.log.measurements[0].sigma;
   double sigma_large = result.log.measurements[1].sigma;
   EXPECT_GT(sigma_small, sigma_large);
+}
+
+// The entry point shared by aim_cli and aimd refuses a spec it cannot run
+// with a typed error before touching the input: the path does not exist, so
+// a spec that got as far as loading would report NOT_FOUND instead. (These
+// budgets used to reach CdpRho's CHECKs and abort aim_cli.)
+TEST(SynthesisTest, PrepareRejectsInvalidSpecBeforeLoading) {
+  auto prepare = [](auto edit) {
+    SynthesisSpec spec;
+    spec.input = "/nonexistent/input.csv";
+    edit(spec);
+    return Synthesis::Prepare(spec).status().code();
+  };
+  EXPECT_EQ(prepare([](SynthesisSpec&) {}), StatusCode::kNotFound);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double epsilon : {0.0, -1.0, inf, nan}) {
+    EXPECT_EQ(prepare([&](SynthesisSpec& s) { s.epsilon = epsilon; }),
+              StatusCode::kInvalidArgument)
+        << "epsilon " << epsilon;
+  }
+  for (double delta : {0.0, 1.0, 1.5, nan}) {
+    EXPECT_EQ(prepare([&](SynthesisSpec& s) { s.delta = delta; }),
+              StatusCode::kInvalidArgument)
+        << "delta " << delta;
+  }
+  for (double max_size_mb : {0.0, -1.0, nan}) {
+    EXPECT_EQ(prepare([&](SynthesisSpec& s) {
+                s.options.max_size_mb = max_size_mb;
+              }),
+              StatusCode::kInvalidArgument)
+        << "max_size_mb " << max_size_mb;
+  }
+  for (const char* workload : {"bogus", "target:", "all4way"}) {
+    EXPECT_EQ(prepare([&](SynthesisSpec& s) { s.workload = workload; }),
+              StatusCode::kInvalidArgument)
+        << workload;
+  }
 }
 
 }  // namespace

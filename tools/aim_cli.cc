@@ -123,7 +123,6 @@ static int RunCli(int argc, char** argv) {
     } else if (StripPrefix(arg, "--output=", &value)) {
       flags.output = value;
     } else if (StripPrefix(arg, "--workload=", &value)) {
-      if (!IsValidWorkloadName(value)) return Usage();
       flags.run.workload = value;
     } else if (StripPrefix(arg, "--epsilon=", &value)) {
       if (!ParseDouble(value, &flags.run.epsilon)) return Usage();
