@@ -3,6 +3,7 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -275,6 +276,12 @@ struct Table2Row {
   int min_domain;
   int max_domain;
 };
+
+// Prints a row as its dataset's name, e.g. "adult", so the test names ctest
+// derives from the printed parameter are stable across builds.
+void PrintTo(const Table2Row& row, std::ostream* os) {
+  *os << PaperDatasetName(row.dataset);
+}
 
 class SimulatorTable2Test : public ::testing::TestWithParam<Table2Row> {};
 

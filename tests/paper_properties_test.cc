@@ -5,6 +5,7 @@
 // correct rounds.
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -49,6 +50,12 @@ struct BudgetCase {
   std::string mechanism;
   double epsilon;
 };
+
+// Prints a case as e.g. "MWEM+PGM at eps=0.01", so the test names ctest
+// derives from the printed parameter are stable across builds.
+void PrintTo(const BudgetCase& c, std::ostream* os) {
+  *os << c.mechanism << " at eps=" << FormatG(c.epsilon);
+}
 
 class BudgetSweepTest : public ::testing::TestWithParam<BudgetCase> {};
 
