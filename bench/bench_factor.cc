@@ -1,14 +1,12 @@
 // Microbenchmarks for the flat factor kernels (DESIGN.md "Factor kernels").
 //
-// Every benchmark runs with Arg(0) = seed odometer kernels, Arg(1) = flat
-// loop-collapse kernels pinned to the scalar SIMD level, and Arg(2) = flat
-// kernels at the detected SIMD level, so both the planner's win and the
-// vectorization win are priced within one run (machine speed cancels out).
+// Every benchmark runs with Arg(1) = kernels pinned to the scalar SIMD
+// level and Arg(2) = kernels at the detected SIMD level, so the
+// vectorization win is priced within one run (machine speed cancels out).
 // Checked-in baselines live in BENCH_factor.json; the CI "Factor perf
 // smoke" step re-runs these, fails on a >2x real-time regression, and
-// requires the flat kernels to keep a >=1.5x win on same-shape multiply
-// and subset marginalization, and the SIMD level to keep a >=2x win on
-// logsumexp and exp (scripts/check_bench_regression.py --speedup).
+// requires the SIMD level to keep a >=2x win on logsumexp and exp
+// (scripts/check_bench_regression.py --speedup).
 //
 // Shapes stay below the parallel-dispatch threshold (1 << 15 cells) so the
 // benches measure the kernels themselves, single-threaded, not the pool.
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "factor/factor.h"
-#include "factor/kernels.h"
 #include "factor/simd_dispatch.h"
 #include "marginal/attr_set.h"
 #include "parallel/thread_pool.h"
@@ -35,18 +32,16 @@ Factor RandomFactor(std::vector<int> attrs, std::vector<int> sizes,
   return f;
 }
 
-// Applies the Arg(0)/Arg(1)/Arg(2) kernel selection for the benchmark body
-// and restores the defaults (flat on, detected SIMD level) afterwards.
+// Applies the Arg(1)/Arg(2) SIMD selection for the benchmark body and
+// restores the defaults (detected SIMD level) afterwards.
 struct KernelMode {
   explicit KernelMode(benchmark::State& state) {
     SetParallelThreads(1);
-    SetFlatKernelsEnabled(state.range(0) >= 1);
     SetSimdLevel(state.range(0) >= 2 ? DetectedSimdLevel()
                                      : SimdLevel::kScalar);
   }
   ~KernelMode() {
     SetSimdLevel(DefaultSimdLevel());
-    SetFlatKernelsEnabled(true);
     SetParallelThreads(0);
   }
 };
@@ -62,7 +57,7 @@ void BM_MultiplySameShape(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a.num_cells());
 }
-BENCHMARK(BM_MultiplySameShape)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MultiplySameShape)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Broadcast over a missing leading axis: b's stride is 0 on axis 0, unit
 // on the fused trailing pair.
@@ -75,7 +70,7 @@ void BM_MultiplyBroadcast(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a.num_cells());
 }
-BENCHMARK(BM_MultiplyBroadcast)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MultiplyBroadcast)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // The Calibrate hot path: accumulate a separator-shaped message into a
 // clique table (broadcast over the leading axis).
@@ -91,7 +86,7 @@ void BM_AddInPlaceSubset(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * acc.num_cells());
 }
-BENCHMARK(BM_AddInPlaceSubset)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AddInPlaceSubset)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Trailing axes contracted: each destination cell is a contiguous
 // 576-element reduction (the scalar-accumulator fast path).
@@ -106,7 +101,7 @@ void BM_MarginalizeTrailing(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.num_cells());
 }
-BENCHMARK(BM_MarginalizeTrailing)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MarginalizeTrailing)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Leading axes contracted: the destination axis is the unit-stride inner
 // run, so the scatter-add is contiguous on both operands.
@@ -121,7 +116,7 @@ void BM_MarginalizeLeading(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.num_cells());
 }
-BENCHMARK(BM_MarginalizeLeading)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MarginalizeLeading)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Log-space marginalization (the message-passing kernel): max pass plus
 // exp-accumulate pass per destination cell.
@@ -136,12 +131,10 @@ void BM_LogSumExpTrailing(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.num_cells());
 }
-BENCHMARK(BM_LogSumExpTrailing)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LogSumExpTrailing)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Elementwise shifted exponential (the Calibrate belief -> probability
-// step). Arg(0) and Arg(1) both run scalar std::exp (Exp has no odometer
-// variant), so the interesting ratio is Arg(1) vs Arg(2): libm vs the
-// vectorized exp.
+// step): Arg(1) vs Arg(2) prices libm against the vectorized exp.
 void BM_Exp(benchmark::State& state) {
   KernelMode mode(state);
   Factor f = RandomFactor({0, 1, 2}, {24, 24, 24}, 10);
@@ -151,7 +144,7 @@ void BM_Exp(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.num_cells());
 }
-BENCHMARK(BM_Exp)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Exp)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Elementwise log (probability -> log-space potentials). Same story as
 // BM_Exp: Arg(1) vs Arg(2) prices the vectorized log against libm.
@@ -164,7 +157,7 @@ void BM_Log(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.num_cells());
 }
-BENCHMARK(BM_Log)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Log)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aim

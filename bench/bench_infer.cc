@@ -4,14 +4,15 @@
 // BENCH_infer.json; the CI perf-smoke step re-runs these and fails on >2x
 // regression (scripts/check_bench_regression.py).
 //
-// The BM_Calibrate* trio prices AIM's late-round update pattern — one
-// measured clique changes, the model re-calibrates, one marginal is read:
-//  - FullRecalibration: inference cache OFF, the seed behavior (every
-//    message and belief recomputed eagerly on each Calibrate).
-//  - OneDirtyFar: cache ON, dirty clique at one chain end, query at the
-//    other — the worst cached case (the whole dirty->query path recomputes).
-//  - OneDirtySame: cache ON, query the dirtied clique itself — the best
-//    case (every needed message survives; only one belief recomputes).
+// The BM_Calibrate* trio prices AIM's update pattern — cliques change, the
+// model re-calibrates, marginals are read:
+//  - AllDirty: every clique changes and every belief is read, so every
+//    message and belief is recomputed — the cost of a full recalibration
+//    (an estimation step, which updates every potential).
+//  - OneDirtyFar: one dirty clique at one chain end, query at the other —
+//    the worst one-dirty case (the whole dirty->query path recomputes).
+//  - OneDirtySame: query the dirtied clique itself — the best case (every
+//    needed message survives; only one belief recomputes).
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +20,6 @@
 
 #include "marginal/attr_set.h"
 #include "parallel/thread_pool.h"
-#include "pgm/inference.h"
 #include "pgm/markov_random_field.h"
 #include "util/rng.h"
 
@@ -56,28 +56,34 @@ void UpdateCalibrateQuery(MarkovRandomField& model, const Factor& delta,
   benchmark::DoNotOptimize(model.MarginalVector(query));
 }
 
-void BM_CalibrateFullRecalibration(benchmark::State& state) {
+void BM_CalibrateAllDirty(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   SetParallelThreads(1);
-  SetInferenceCacheEnabled(false);
   MarkovRandomField model = ChainModel(k, 1);
-  Factor delta = model.potential(0);
-  for (double& v : delta.mutable_values()) v = 0.01;
-  const AttrSet query = model.tree().cliques[model.num_cliques() - 1];
+  std::vector<Factor> deltas;
+  for (int c = 0; c < model.num_cliques(); ++c) {
+    deltas.push_back(model.potential(c));
+    for (double& v : deltas.back().mutable_values()) v = 0.01;
+  }
   double scale = 1.0;
   for (auto _ : state) {
-    UpdateCalibrateQuery(model, delta, 0, query, scale);
+    for (int c = 0; c < model.num_cliques(); ++c) {
+      model.AccumulatePotential(c, deltas[c], scale);
+    }
+    model.Calibrate();
+    benchmark::DoNotOptimize(model.LogPartition());
+    for (int c = 0; c < model.num_cliques(); ++c) {
+      benchmark::DoNotOptimize(model.CliqueBelief(c).values().data());
+    }
     scale = -scale;
   }
-  SetInferenceCacheEnabled(true);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CalibrateFullRecalibration)->Arg(24)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CalibrateAllDirty)->Arg(24)->Unit(benchmark::kMicrosecond);
 
 void BM_CalibrateOneDirtyFar(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   SetParallelThreads(1);
-  SetInferenceCacheEnabled(true);
   MarkovRandomField model = ChainModel(k, 1);
   Factor delta = model.potential(0);
   for (double& v : delta.mutable_values()) v = 0.01;
@@ -94,7 +100,6 @@ BENCHMARK(BM_CalibrateOneDirtyFar)->Arg(24)->Unit(benchmark::kMicrosecond);
 void BM_CalibrateOneDirtySame(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   SetParallelThreads(1);
-  SetInferenceCacheEnabled(true);
   MarkovRandomField model = ChainModel(k, 1);
   const int mid = model.num_cliques() / 2;
   Factor delta = model.potential(mid);
@@ -127,7 +132,6 @@ std::vector<AttrSet> BenchQueries(const MarkovRandomField& model) {
 void BM_AnswerMarginalsSequential(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   SetParallelThreads(threads);
-  SetInferenceCacheEnabled(true);
   MarkovRandomField model = ChainModel(16, 2);
   std::vector<AttrSet> queries = BenchQueries(model);
   for (auto _ : state) {
@@ -144,7 +148,6 @@ BENCHMARK(BM_AnswerMarginalsSequential)->Arg(1)->Arg(4)
 void BM_AnswerMarginalsBatched(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   SetParallelThreads(threads);
-  SetInferenceCacheEnabled(true);
   MarkovRandomField model = ChainModel(16, 2);
   std::vector<AttrSet> queries = BenchQueries(model);
   for (auto _ : state) {

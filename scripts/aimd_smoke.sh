@@ -6,6 +6,10 @@
 # byte-identical to an aim_cli run with the same dataset, flags, and seed
 # — the daemon is the CLI pipeline behind a socket, nothing more.
 #
+# Then (bounded /query): a job on a wide dataset finishes, a /query naming
+# all of its attributes — a junction tree far over the job's max_size_mb —
+# is refused with 400, and the daemon still answers /healthz.
+#
 # Phase 2 (graceful SIGTERM): submit a second job, SIGTERM the daemon
 # mid-run, and verify (a) the daemon drains and exits 0, (b) the job's
 # newest checkpoint generation is valid — proven the strong way, by
@@ -110,16 +114,19 @@ RESPONSE=$(submit_job) || fail "job submission was refused"
 JOB1=$(echo "$RESPONSE" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$JOB1" ] || fail "submission response carried no job id: $RESPONSE"
 
-STATE=""
-for _ in $(seq 1 1200); do
-  STATE=$(job_field "$JOB1" state)
-  case "$STATE" in
-    done) break ;;
-    failed|cancelled) fail "job $JOB1 ended in state '$STATE'" ;;
-  esac
-  sleep 0.1
-done
-[ "$STATE" = "done" ] || fail "job $JOB1 never finished (state '$STATE')"
+wait_done() {  # wait_done <id>: poll until the job is done, or fail
+  local state=""
+  for _ in $(seq 1 1200); do
+    state=$(job_field "$1" state)
+    case "$state" in
+      done) return 0 ;;
+      failed|cancelled) fail "job $1 ended in state '$state'" ;;
+    esac
+    sleep 0.1
+  done
+  fail "job $1 never finished (state '$state')"
+}
+wait_done "$JOB1"
 
 curl -sf "$BASE/jobs/$JOB1/result" > "$WORK/daemon.csv" ||
   fail "could not fetch job $JOB1 result"
@@ -131,6 +138,40 @@ echo "   daemon output is byte-identical to aim_cli"
 EVENTS=$(curl -sf "$BASE/jobs/$JOB1/events")
 echo "$EVENTS" | grep -q '"type":"aim_round"' ||
   fail "job $JOB1 event stream has no aim_round records"
+
+echo "== an all-attribute /query on a wide job is refused, aimd stays up"
+# 600 rows x 16 categorical columns x 30 values: all 16 attributes span
+# 30^16 cells, far over the default max_size_mb.
+WIDE="$WORK/wide.csv"
+awk 'BEGIN {
+  for (j = 0; j < 16; j++) printf "%sw%d", (j ? "," : ""), j;
+  print "";
+  s = 7;
+  for (i = 0; i < 600; i++) {
+    for (j = 0; j < 16; j++) {
+      s = (s * 1103515245 + 12345) % 2147483648;
+      printf "%sv%d", (j ? "," : ""), int(s / 65536) % 30;
+    }
+    print "";
+  }
+}' > "$WIDE"
+RESPONSE=$(curl -sf -X POST "$BASE/jobs" -d '{
+  "dataset": "'"$WIDE"'", "epsilon": 1.0, "workload": "all2way", "seed": 3
+}') || fail "wide job submission was refused"
+WIDE_JOB=$(echo "$RESPONSE" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$WIDE_JOB" ] || fail "wide submission carried no job id: $RESPONSE"
+wait_done "$WIDE_JOB"
+ALL_ATTRS='"w0"'
+for j in $(seq 1 15); do ALL_ATTRS="$ALL_ATTRS,\"w$j\""; done
+CODE=$(curl -s -o "$WORK/wide_query.json" -w '%{http_code}' -X POST \
+  "$BASE/jobs/$WIDE_JOB/query" -d "{\"attrs\": [$ALL_ATTRS]}")
+[ "$CODE" = "400" ] ||
+  fail "all-attribute /query answered $CODE, want 400: $(cat "$WORK/wide_query.json")"
+grep -q max_size_mb "$WORK/wide_query.json" ||
+  fail "the 400 does not name the size bound: $(cat "$WORK/wide_query.json")"
+curl -sf "$BASE/healthz" > /dev/null ||
+  fail "healthz probe failed after the oversized /query"
+echo "   oversized /query refused with 400; daemon still healthy"
 
 echo "== phase 2: SIGTERM mid-job, then resume the checkpoint with aim_cli"
 RESPONSE=$(submit_job) || fail "second submission was refused"

@@ -24,7 +24,7 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # The built-in Calibrate speedup check (used when no --speedup triples are
 # given) requires these two names; include them in every fixture so the
 # tests exercise only the behavior under test.
-FULL = "BM_CalibrateFullRecalibration/24"
+FULL = "BM_CalibrateAllDirty/24"
 ONE_DIRTY = "BM_CalibrateOneDirtyFar/24"
 
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "factor/kernel_plan.h"
-#include "factor/kernels.h"
 #include "factor/simd_dispatch.h"
 #include "factor/workspace.h"
 #include "parallel/parallel.h"
@@ -59,78 +58,15 @@ constexpr int64_t kParallelCellThreshold = 1 << 15;
 constexpr int64_t kCellGrain = 1 << 14;
 
 // ---------------------------------------------------------------------------
-// Seed odometer (fallback path; also the reference the flat kernels are
-// asserted bitwise-identical against in tests/factor_test.cc).
-// ---------------------------------------------------------------------------
-
-// Iterates cells [cell_begin, cell_end) of a factor with axes `sizes` in
-// row-major order (last axis fastest), maintaining a set of derived linear
-// indices (one per stride vector). Calls fn(cell, derived_indices) once per
-// cell. Seeking to cell_begin is O(rank), so a chunked caller can start
-// mid-tensor.
-template <int kNumDerived, typename Fn>
-void ForEachCellRange(const std::vector<int>& sizes,
-                      const std::vector<int64_t>* strides[kNumDerived],
-                      int64_t cell_begin, int64_t cell_end, Fn&& fn) {
-  const int rank = static_cast<int>(sizes.size());
-  std::vector<int> coord(rank, 0);
-  int64_t derived[kNumDerived] = {};
-  // Decompose cell_begin into coordinates and derived offsets.
-  int64_t rem = cell_begin;
-  for (int axis = rank - 1; axis >= 0; --axis) {
-    coord[axis] = static_cast<int>(rem % sizes[axis]);
-    rem /= sizes[axis];
-    for (int k = 0; k < kNumDerived; ++k) {
-      derived[k] += coord[axis] * (*strides[k])[axis];
-    }
-  }
-  for (int64_t cell = cell_begin; cell < cell_end; ++cell) {
-    fn(cell, derived);
-    // Odometer increment (last axis fastest).
-    for (int axis = rank - 1; axis >= 0; --axis) {
-      ++coord[axis];
-      if (coord[axis] < sizes[axis]) {
-        for (int k = 0; k < kNumDerived; ++k) {
-          derived[k] += (*strides[k])[axis];
-        }
-        break;
-      }
-      coord[axis] = 0;
-      for (int k = 0; k < kNumDerived; ++k) {
-        derived[k] -= (*strides[k])[axis] * (sizes[axis] - 1);
-      }
-    }
-  }
-}
-
-// Runs fn(cell, derived) over all cells — chunked across the pool when the
-// factor is large enough and every cell writes only to its own destination
-// (true for the gather-style loops below: dst is indexed by `cell`).
-template <int kNumDerived, typename Fn>
-void ForEachCellParallel(const std::vector<int>& sizes,
-                         const std::vector<int64_t>* strides[kNumDerived],
-                         int64_t total, Fn&& fn) {
-  if (total < kParallelCellThreshold) {
-    ForEachCellRange<kNumDerived>(sizes, strides, 0, total, fn);
-    return;
-  }
-  ParallelForChunks(0, total, kCellGrain,
-                    [&](int64_t lo, int64_t hi, int64_t /*chunk*/) {
-                      ForEachCellRange<kNumDerived>(sizes, strides, lo, hi,
-                                                    fn);
-                    });
-}
-
-// ---------------------------------------------------------------------------
 // Flat kernels: loop-collapsed executors over a KernelPlan. Each one visits
-// cells in exactly the seed order; the unit-stride inner runs (inner stride
-// 0 = operand constant over the run, 1 = operand contiguous — the only
-// values sub-factor broadcasting produces) go through the SimdOps table
-// (simd_dispatch.h). The exact kernels are bitwise equal to the odometer
-// path at every SIMD level (see kernel_plan.h for the argument and
-// factor_test.cc for the assertion); the transcendental kernels
-// (LogSumExpTo pass 2) are bitwise equal at SimdLevel::kScalar and
-// ULP-gated above it.
+// cells in row-major order; the unit-stride inner runs (inner stride 0 =
+// operand constant over the run, 1 = operand contiguous — the only values
+// sub-factor broadcasting produces) go through the SimdOps table
+// (simd_dispatch.h). The exact kernels are bitwise equal to a per-cell
+// odometer walk at every SIMD level (see kernel_plan.h for the argument;
+// factor_test.cc checks them against the odometer oracle in
+// tests/test_util.h); the transcendental kernels (LogSumExpTo pass 2) are
+// bitwise equal at SimdLevel::kScalar and ULP-gated above it.
 // ---------------------------------------------------------------------------
 
 enum class BinKind { kAdd, kSub, kMul };
@@ -234,7 +170,7 @@ void RunAddInPlaceRange(const KernelPlan& plan, double* dst,
 
 // Scatter-add src (full shape) into dst (marginal shape). A run whose
 // destination stride is 0 reduces into a scalar accumulator — the additions
-// happen in the same left-to-right order as the seed's per-cell
+// happen in the same left-to-right order as a per-cell
 // dst[idx] += src[cell], so the result is bitwise identical.
 void RunScatterAdd(const KernelPlan& plan, double* dst, const double* src,
                    const SimdOps& ops, int64_t total) {
@@ -242,7 +178,7 @@ void RunScatterAdd(const KernelPlan& plan, double* dst, const double* src,
   if (os == 0) {
     // Order-sensitive reduction into one destination: stays scalar at every
     // SIMD level so the left-to-right addition sequence (and therefore the
-    // result bits) matches the seed exactly.
+    // result bits) matches the per-cell walk exactly.
     ForEachRunRange<1>(plan, 0, total,
                        [&](int64_t cell, const int64_t* base, int64_t len) {
                          const double* ps = src + cell;
@@ -269,7 +205,7 @@ void RunScatterAdd(const KernelPlan& plan, double* dst, const double* src,
 }
 
 // Scatter-max (LogSumExpTo pass 1). max is exact, so accumulation matches
-// the seed's per-cell sequence bit for bit. NaN contributions poison the
+// the per-cell sequence bit for bit. NaN contributions poison the
 // destination with a canonical quiet NaN (the seed's `<`-based max silently
 // dropped them, yielding a wrong finite LogSumExpTo result — see the
 // regression test NanInputPoisonsLogSumExpCell); once poisoned, a cell
@@ -301,7 +237,7 @@ void RunScatterMax(const KernelPlan& plan, double* dst, const double* src,
   }
 }
 
-// LogSumExpTo pass 2: dst[idx] += exp(src - mx[idx]) with the seed's
+// LogSumExpTo pass 2: dst[idx] += exp(src - mx[idx]) with the
 // structural-zero skip (per-destination max of -inf means every
 // contribution is skipped, which the run-level branch reproduces exactly).
 void RunScatterExpAcc(const KernelPlan& plan, double* dst, const double* mx,
@@ -335,9 +271,9 @@ void RunScatterExpAcc(const KernelPlan& plan, double* dst, const double* mx,
   }
 }
 
-// Runs body(lo, hi) over [0, total) with the same serial threshold and
-// fixed grain as the seed's ForEachCellParallel, so parallel chunk
-// boundaries are unchanged.
+// Runs body(lo, hi) over [0, total): serially below the parallel threshold,
+// otherwise in fixed-grain chunks across the pool. Only gather-style loops
+// (every cell writes its own destination) use it.
 template <typename Body>
 void RunFlatParallel(int64_t total, Body&& body) {
   if (total < kParallelCellThreshold) {
@@ -359,9 +295,12 @@ Factor::Factor(std::vector<int> attrs, std::vector<int> sizes, double fill)
   AIM_CHECK_EQ(attrs_.size(), sizes_.size());
   AIM_CHECK(std::is_sorted(attrs_.begin(), attrs_.end()));
   AIM_CHECK(std::adjacent_find(attrs_.begin(), attrs_.end()) == attrs_.end());
+  // The kernel planner relies on the cell count fitting in int64.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   int64_t total = 1;
   for (int s : sizes_) {
     AIM_CHECK_GE(s, 1);
+    AIM_CHECK_LE(total, kMax / s) << "factor cell count overflows int64";
     total *= s;
   }
   values_.assign(total, fill);
@@ -428,19 +367,11 @@ Factor BinaryOp(const Factor& a, const Factor& b) {
   double* dst = out.mutable_values().data();
   const double* av = a.values().data();
   const double* bv = b.values().data();
-  const KernelPlan* plan =
-      FlatKernelsEnabled() ? ws.GetPlan(sizes, strides, 2) : nullptr;
-  if (plan != nullptr) {
-    const SimdOps& ops = ActiveSimdOps();
-    RunFlatParallel(out.num_cells(), [&](int64_t lo, int64_t hi) {
-      RunBinaryRange<K>(*plan, dst, av, bv, ops, lo, hi);
-    });
-    return out;
-  }
-  ForEachCellParallel<2>(sizes, strides, out.num_cells(),
-                         [&](int64_t cell, const int64_t* idx) {
-                           dst[cell] = ApplyBin<K>(av[idx[0]], bv[idx[1]]);
-                         });
+  const KernelPlan& plan = *ws.GetPlan(sizes, strides, 2);
+  const SimdOps& ops = ActiveSimdOps();
+  RunFlatParallel(out.num_cells(), [&](int64_t lo, int64_t hi) {
+    RunBinaryRange<K>(plan, dst, av, bv, ops, lo, hi);
+  });
   return out;
 }
 
@@ -467,19 +398,11 @@ void Factor::AddInPlace(const Factor& other, double scale) {
   const std::vector<int64_t>* strides[1] = {&other_strides};
   double* dst = values_.data();
   const double* src = other.values_.data();
-  const KernelPlan* plan =
-      FlatKernelsEnabled() ? ws.GetPlan(sizes_, strides, 1) : nullptr;
-  if (plan != nullptr) {
-    const SimdOps& ops = ActiveSimdOps();
-    RunFlatParallel(num_cells(), [&](int64_t lo, int64_t hi) {
-      RunAddInPlaceRange(*plan, dst, src, scale, ops, lo, hi);
-    });
-    return;
-  }
-  ForEachCellParallel<1>(sizes_, strides, num_cells(),
-                         [&](int64_t cell, const int64_t* idx) {
-                           dst[cell] += scale * src[idx[0]];
-                         });
+  const KernelPlan& plan = *ws.GetPlan(sizes_, strides, 1);
+  const SimdOps& ops = ActiveSimdOps();
+  RunFlatParallel(num_cells(), [&](int64_t lo, int64_t hi) {
+    RunAddInPlaceRange(plan, dst, src, scale, ops, lo, hi);
+  });
 }
 
 void Factor::ScaleInPlace(double factor) {
@@ -522,16 +445,8 @@ void Factor::SumToInto(const AttrSet& target, Factor* out) const {
   // Scatter-add into dst[idx] — destinations collide across cells, so this
   // stays serial (parallelizing would need per-thread partials keyed by
   // destination, which the small output rarely justifies).
-  const KernelPlan* plan =
-      FlatKernelsEnabled() ? ws.GetPlan(sizes_, strides, 1) : nullptr;
-  if (plan != nullptr) {
-    RunScatterAdd(*plan, dst, src, ActiveSimdOps(), num_cells());
-    return;
-  }
-  ForEachCellRange<1>(sizes_, strides, 0, num_cells(),
-                      [&](int64_t cell, const int64_t* idx) {
-                        dst[idx[0]] += src[cell];
-                      });
+  RunScatterAdd(*ws.GetPlan(sizes_, strides, 1), dst, src, ActiveSimdOps(),
+                num_cells());
 }
 
 Factor Factor::LogSumExpTo(const AttrSet& target) const {
@@ -553,31 +468,10 @@ void Factor::LogSumExpToInto(const AttrSet& target, Factor* out) const {
   double* dst = out->values_.data();
   const double* src = values_.data();
   // Both passes scatter into colliding destinations: serial, as in SumTo.
-  const KernelPlan* plan =
-      FlatKernelsEnabled() ? ws.GetPlan(sizes_, strides, 1) : nullptr;
-  if (plan != nullptr) {
-    const SimdOps& ops = ActiveSimdOps();
-    RunScatterMax(*plan, mx, src, ops, num_cells());
-    RunScatterExpAcc(*plan, dst, mx, src, ops, num_cells());
-  } else {
-    // Pass 1: per-destination max, NaN poisoning the cell (a NaN max makes
-    // pass 2 and the combine below produce NaN for that cell too).
-    ForEachCellRange<1>(sizes_, strides, 0, num_cells(),
-                        [&](int64_t cell, const int64_t* idx) {
-                          const double v = src[cell];
-                          double& d = mx[idx[0]];
-                          d = (v != v) ? kQuietNan : ((d < v) ? v : d);
-                        });
-    // Pass 2: accumulate exp(v - max).
-    ForEachCellRange<1>(sizes_, strides, 0, num_cells(),
-                        [&](int64_t cell, const int64_t* idx) {
-                          double m = mx[idx[0]];
-                          double v = src[cell];
-                          if (!(std::isinf(m) && m < 0)) {
-                            dst[idx[0]] += std::exp(v - m);
-                          }
-                        });
-  }
+  const KernelPlan& plan = *ws.GetPlan(sizes_, strides, 1);
+  const SimdOps& ops = ActiveSimdOps();
+  RunScatterMax(plan, mx, src, ops, num_cells());
+  RunScatterExpAcc(plan, dst, mx, src, ops, num_cells());
   for (int64_t i = 0; i < out_cells; ++i) {
     double m = mx[i];
     out->values_[i] =

@@ -3,9 +3,9 @@
 // A factor kernel walks the cells of a result shape in row-major order
 // (last axis fastest) while maintaining one derived linear index per
 // operand, where an operand's per-axis stride is 0 for axes it does not
-// carry. The seed implementation does this with a rank-generic odometer and
-// a per-cell callback. A KernelPlan precomputes the loop structure instead:
-// trailing axes whose strides are mutually compatible across every operand
+// carry. Walking that with a rank-generic odometer and a per-cell callback
+// is slow; a KernelPlan precomputes the loop structure instead: trailing
+// axes whose strides are mutually compatible across every operand
 // (stride[axis] == stride[axis+1] * size[axis+1], the row-major contiguity
 // condition, including the all-zero broadcast case) are fused into a single
 // inner run, and the remaining axes are fused greedily the same way into a
@@ -15,10 +15,15 @@
 //     for t in [0, inner_size):      // contiguous, vectorizable
 //       body(cell + t, base[k] + t * inner_strides[k], ...)
 //
-// which visits cells in exactly the same order as the seed loop — a plan
-// changes how iteration is *bookkept*, never the sequence of cell visits,
-// so accumulation order (and therefore every bit of floating-point output)
-// is preserved.
+// which visits cells in exactly the row-major order — a plan changes how
+// iteration is *bookkept*, never the sequence of cell visits, so
+// accumulation order (and therefore every bit of floating-point output) is
+// that of the per-cell walk. tests/test_util.h keeps that walk as the
+// reference the kernels are checked against.
+//
+// Every factor is plannable: size-1 axes are dropped, so each fused group
+// has size >= 2, and the Factor constructor keeps the cell count within
+// int64 — at most 62 groups.
 //
 // Plans are pure functions of (sizes, operand strides) and are memoized in
 // the thread-local FactorWorkspace (factor/workspace.h).
@@ -33,13 +38,12 @@
 namespace aim {
 
 struct KernelPlan {
-  // Factors beyond this rank (after dropping size-1 axes) fall back to the
-  // seed odometer. AIM cliques are rank <= ~6; 16 leaves huge headroom.
-  static constexpr int kMaxAxes = 16;
+  // Most non-degenerate (size >= 2) axes a shape with an int64 cell count
+  // can have: 2^63 already overflows.
+  static constexpr int kMaxAxes = 62;
   // Kernels derive at most two operand indices (binary ops).
   static constexpr int kMaxOperands = 2;
 
-  bool valid = false;
   int num_operands = 0;
   // Fused outer axes, axis 0 slowest, axis num_outer-1 fastest.
   int num_outer = 0;
@@ -48,22 +52,25 @@ struct KernelPlan {
   int64_t inner_size = 1;
   // Total cells (product of all axis sizes).
   int64_t total = 1;
-  int64_t outer_sizes[kMaxAxes] = {};
-  int64_t outer_strides[kMaxOperands][kMaxAxes] = {};
   // Per-operand stride within the inner run. For strides produced by
   // sub-factor broadcasting this is 0 (operand constant over the run) or 1
   // (operand contiguous), but kernels must handle the general value.
   int64_t inner_strides[kMaxOperands] = {};
+  // Per outer axis: its size and each operand's stride (num_outer entries
+  // each). Sized to the shape rather than to kMaxAxes, so the plan cache
+  // stays small; rebuilding into a plan reuses their capacity.
+  std::vector<int64_t> outer_sizes;
+  std::vector<int64_t> outer_strides[kMaxOperands];
 };
 
-// Builds a plan for iterating a result shape `sizes` with `num_operands`
-// derived index streams, `operand_strides[k]` giving operand k's per-axis
-// strides (same length as `sizes`). Returns plan.valid == false when the
-// shape has more than kMaxAxes non-degenerate axes (callers then use the
-// seed odometer).
-KernelPlan BuildKernelPlan(
-    const std::vector<int>& sizes,
-    const std::vector<int64_t>* const* operand_strides, int num_operands);
+// Builds into *plan (reusing its buffers) the plan for iterating a result
+// shape `sizes` with `num_operands` derived index streams,
+// `operand_strides[k]` giving operand k's per-axis strides (same length as
+// `sizes`). The product of `sizes` must fit in int64 (as it does for every
+// Factor), which bounds the fused groups by kMaxAxes.
+void BuildKernelPlan(const std::vector<int>& sizes,
+                     const std::vector<int64_t>* const* operand_strides,
+                     int num_operands, KernelPlan* plan);
 
 // Iterates cells [cell_begin, cell_end) of a planned shape as contiguous
 // runs. Calls fn(cell, base, len): `cell` is the linear index of the run's

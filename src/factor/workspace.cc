@@ -25,20 +25,27 @@ void AlignedDoubleBuffer::Assign(int64_t n, double fill) {
 }
 namespace {
 
-// FNV-1a over the (rank, num_operands, sizes, strides) key.
+// FNV-1a over the (rank, num_operands, sizes, strides) key, skipping
+// size-1 axes.
 uint64_t HashKey(const std::vector<int>& sizes,
                  const std::vector<int64_t>* const* operand_strides,
-                 int num_operands) {
+                 int num_operands, int rank) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(static_cast<uint64_t>(sizes.size()));
+  mix(static_cast<uint64_t>(rank));
   mix(static_cast<uint64_t>(num_operands));
-  for (int s : sizes) mix(static_cast<uint64_t>(s));
+  for (int s : sizes) {
+    if (s != 1) mix(static_cast<uint64_t>(s));
+  }
   for (int k = 0; k < num_operands; ++k) {
-    for (int64_t s : *operand_strides[k]) mix(static_cast<uint64_t>(s));
+    for (size_t axis = 0; axis < sizes.size(); ++axis) {
+      if (sizes[axis] != 1) {
+        mix(static_cast<uint64_t>((*operand_strides[k])[axis]));
+      }
+    }
   }
   return h;
 }
@@ -53,23 +60,23 @@ FactorWorkspace& FactorWorkspace::Get() {
 const KernelPlan* FactorWorkspace::GetPlan(
     const std::vector<int>& sizes,
     const std::vector<int64_t>* const* operand_strides, int num_operands) {
-  const int rank = static_cast<int>(sizes.size());
-  if (rank > KernelPlan::kMaxAxes ||
-      num_operands > KernelPlan::kMaxOperands) {
-    return nullptr;
-  }
-  const uint64_t hash = HashKey(sizes, operand_strides, num_operands);
+  AIM_CHECK_LE(num_operands, KernelPlan::kMaxOperands);
+  int rank = 0;
+  for (int s : sizes) rank += s != 1;
+  const uint64_t hash = HashKey(sizes, operand_strides, num_operands, rank);
   CacheSlot& slot = slots_[hash & (kCacheSlots - 1)];
-  if (slot.used && slot.hash == hash && slot.rank == rank &&
+  if (slot.used && slot.hash == hash &&
+      static_cast<int>(slot.sizes.size()) == rank &&
       slot.num_operands == num_operands) {
     bool match = true;
-    for (int axis = 0; match && axis < rank; ++axis) {
-      match = slot.sizes[axis] == sizes[axis];
-    }
-    for (int k = 0; match && k < num_operands; ++k) {
-      for (int axis = 0; match && axis < rank; ++axis) {
-        match = slot.strides[k][axis] == (*operand_strides[k])[axis];
+    int key_axis = 0;
+    for (size_t axis = 0; match && axis < sizes.size(); ++axis) {
+      if (sizes[axis] == 1) continue;
+      match = slot.sizes[key_axis] == sizes[axis];
+      for (int k = 0; match && k < num_operands; ++k) {
+        match = slot.strides[k][key_axis] == (*operand_strides[k])[axis];
       }
+      ++key_axis;
     }
     if (match) {
       ++plan_hits_;
@@ -80,19 +87,17 @@ const KernelPlan* FactorWorkspace::GetPlan(
   ++plan_misses_;
   slot.used = true;
   slot.hash = hash;
-  slot.rank = rank;
   slot.num_operands = num_operands;
-  for (int axis = 0; axis < rank; ++axis) slot.sizes[axis] = sizes[axis];
-  for (int k = 0; k < num_operands; ++k) {
-    for (int axis = 0; axis < rank; ++axis) {
-      slot.strides[k][axis] = (*operand_strides[k])[axis];
+  slot.sizes.clear();
+  for (int k = 0; k < num_operands; ++k) slot.strides[k].clear();
+  for (size_t axis = 0; axis < sizes.size(); ++axis) {
+    if (sizes[axis] == 1) continue;
+    slot.sizes.push_back(sizes[axis]);
+    for (int k = 0; k < num_operands; ++k) {
+      slot.strides[k].push_back((*operand_strides[k])[axis]);
     }
   }
-  slot.plan = BuildKernelPlan(sizes, operand_strides, num_operands);
-  if (!slot.plan.valid) {
-    slot.used = false;  // do not cache unplannable shapes
-    return nullptr;
-  }
+  BuildKernelPlan(sizes, operand_strides, num_operands, &slot.plan);
   return &slot.plan;
 }
 

@@ -4,8 +4,9 @@
 //   1. Memoize KernelPlans. Plan construction is cheap but not free, and
 //      the hot loops (Calibrate, EstimateMrf, GenerateSynthetic) run the
 //      same handful of (sizes, strides) combinations thousands of times.
-//      A small direct-mapped cache keyed on the exact (sizes, operand
-//      strides) tuple makes repeat lookups allocation-free pointer returns.
+//      A small direct-mapped cache keyed on the (sizes, operand strides) of
+//      the non-degenerate axes makes repeat lookups allocation-free
+//      pointer returns.
 //   2. Lend out reusable index/double scratch vectors so kernels (stride
 //      tables, logsumexp max buffers) stop allocating per call. Buffers
 //      only ever grow, so after a warm-up pass the steady state performs
@@ -65,11 +66,12 @@ class FactorWorkspace {
   static FactorWorkspace& Get();
 
   // Returns the memoized plan for (sizes, operand_strides), building and
-  // caching it on a miss. Returns nullptr when the shape is unplannable
-  // (more than KernelPlan::kMaxAxes fused axes) — callers fall back to the
-  // seed odometer. The pointer stays valid until a colliding shape evicts
-  // the slot; kernels must finish with the plan before invoking code that
-  // could insert new plans on this thread.
+  // caching it on a miss. Never null: every factor shape is plannable
+  // (kernel_plan.h). The cache is keyed on the non-degenerate (size >= 2)
+  // axes only, since size-1 axes never affect a plan. The pointer stays
+  // valid until a colliding shape evicts the slot; kernels must finish with
+  // the plan before invoking code that could insert new plans on this
+  // thread.
   const KernelPlan* GetPlan(const std::vector<int>& sizes,
                             const std::vector<int64_t>* const* operand_strides,
                             int num_operands);
@@ -88,13 +90,14 @@ class FactorWorkspace {
   static constexpr int kIndexBufs = 4;
   static constexpr int kDoubleBufs = 2;
 
+  // Key: sizes and operand strides of the non-degenerate axes. Its vectors
+  // and the plan's are rewritten in place on a miss, reusing capacity.
   struct CacheSlot {
     bool used = false;
     uint64_t hash = 0;
-    int rank = 0;
     int num_operands = 0;
-    int sizes[KernelPlan::kMaxAxes] = {};
-    int64_t strides[KernelPlan::kMaxOperands][KernelPlan::kMaxAxes] = {};
+    std::vector<int> sizes;
+    std::vector<int64_t> strides[KernelPlan::kMaxOperands];
     KernelPlan plan;
   };
 

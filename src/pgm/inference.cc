@@ -1,35 +1,8 @@
 #include "pgm/inference.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "obs/metrics.h"
 
 namespace aim {
-namespace {
-
-bool CacheEnabledFromEnv() {
-  const char* env = std::getenv("AIM_INFER_CACHE");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "false") == 0);
-}
-
-std::atomic<bool>& CacheEnabledFlag() {
-  static std::atomic<bool> enabled{CacheEnabledFromEnv()};
-  return enabled;
-}
-
-}  // namespace
-
-bool InferenceCacheEnabled() {
-  return CacheEnabledFlag().load(std::memory_order_relaxed);
-}
-
-void SetInferenceCacheEnabled(bool enabled) {
-  CacheEnabledFlag().store(enabled, std::memory_order_relaxed);
-}
 
 void FlushInferCounters(const InferCounters& counters, int64_t batch_queries) {
   if (!MetricsEnabled()) return;

@@ -1,15 +1,12 @@
-// Inference-engine controls and counters for the Private-PGM engine.
+// Inference-engine counters for the Private-PGM engine.
 //
 // The MarkovRandomField calibration cache (DESIGN.md "Inference engine")
 // tracks which clique potentials changed since the last calibration and
 // recomputes only the Shafer-Shenoy messages on tree paths affected by the
 // dirty cliques; beliefs materialize lazily, per queried clique. The cache
 // is a pure memoization layer: every message and belief it reuses would be
-// recomputed to the identical bits, so enabling or disabling it can never
-// change any marginal (asserted end-to-end in tests/infer_test.cc).
-//
-// The switch below exists for A/B benchmarking and for the bitwise
-// equivalence tests; production keeps it on.
+// recomputed to the identical bits (tests/infer_test.cc compares a cached
+// model with a freshly built one).
 
 #ifndef AIM_PGM_INFERENCE_H_
 #define AIM_PGM_INFERENCE_H_
@@ -17,12 +14,6 @@
 #include <cstdint>
 
 namespace aim {
-
-// Global inference-cache switch. Defaults to on; the environment variable
-// AIM_INFER_CACHE=0 (read once, at first query) disables it, in which case
-// Calibrate() falls back to a full eager recalibration every time.
-bool InferenceCacheEnabled();
-void SetInferenceCacheEnabled(bool enabled);
 
 // Per-call tallies of message-cache behaviour, accumulated by the locked
 // inference helpers and flushed to the metrics registry (when metrics are

@@ -186,21 +186,9 @@ void MarkovRandomField::ApplyDirtyLocked() {
 
 void MarkovRandomField::Calibrate() {
   std::lock_guard<std::mutex> lock(infer_mu_);
-  const bool cache_on = InferenceCacheEnabled();
-  if (cache_on) {
-    ApplyDirtyLocked();
-  } else {
-    for (auto& mv : message_valid_) mv = {0, 0};
-    std::fill(belief_valid_.begin(), belief_valid_.end(), 0);
-    log_partition_valid_ = false;
-  }
+  ApplyDirtyLocked();
   std::fill(dirty_.begin(), dirty_.end(), 0);
   calibrated_ = true;
-  if (!cache_on) {
-    InferCounters counters;
-    MaterializeAllLocked(&counters);
-    FlushInferCounters(counters);
-  }
 }
 
 void MarkovRandomField::ComputeMessageLocked(int from, int to, int edge_index,
@@ -283,33 +271,6 @@ void MarkovRandomField::EnsureBeliefLocked(int c,
     beliefs_[c].AddInPlace(messages_[e][in_dir]);
   }
   belief_valid_[c] = 1;
-}
-
-void MarkovRandomField::MaterializeAllLocked(InferCounters* counters) {
-  // Eager full pass (cache-off mode): the seed's two-pass Shafer-Shenoy
-  // schedule, then all beliefs and the partition function.
-  for (int c : order0_) {
-    if (parent0_[c] < 0) continue;
-    int e = parent_edge0_[c];
-    int dir = DirFrom(tree_.edges[e], c);
-    if (!message_valid_[e][dir]) {
-      ComputeMessageLocked(c, parent0_[c], e, counters);
-    }
-  }
-  for (auto it = order0_.rbegin(); it != order0_.rend(); ++it) {
-    int c = *it;
-    if (parent0_[c] < 0) continue;
-    int e = parent_edge0_[c];
-    int dir = DirFrom(tree_.edges[e], parent0_[c]);
-    if (!message_valid_[e][dir]) {
-      ComputeMessageLocked(parent0_[c], c, e, counters);
-    }
-  }
-  for (int c = 0; c < num_cliques(); ++c) EnsureBeliefLocked(c, counters);
-  if (!log_partition_valid_) {
-    log_partition_ = beliefs_[0].LogSumExp();
-    log_partition_valid_ = true;
-  }
 }
 
 double MarkovRandomField::LogPartition() const {

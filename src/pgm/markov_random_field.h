@@ -75,12 +75,10 @@ class MarkovRandomField {
     return tree_.ContainingClique(r);
   }
 
-  // Validates the calibration. With the inference cache on this only
-  // invalidates the messages affected by cliques dirtied since the previous
-  // Calibrate() (messages and beliefs then materialize lazily, per query);
-  // with the cache off it eagerly recomputes every message and belief, the
-  // seed behavior. Either way, afterwards beliefs and marginals are valid
-  // and bitwise identical.
+  // Validates the calibration: invalidates exactly the messages affected by
+  // cliques dirtied since the previous Calibrate(); messages and beliefs
+  // then materialize lazily, per query, to the same bits a full
+  // recalibration would give.
   void Calibrate();
   bool calibrated() const { return calibrated_; }
 
@@ -129,7 +127,6 @@ class MarkovRandomField {
                             InferCounters* counters);
   void EnsureMessagesTowardLocked(int target, InferCounters* counters) const;
   void EnsureBeliefLocked(int c, InferCounters* counters) const;
-  void MaterializeAllLocked(InferCounters* counters);
   void EnsureVeComponentsLocked() const;
   const VeOrder& GetVeOrderLocked(const AttrSet& r) const;
 
@@ -141,9 +138,9 @@ class MarkovRandomField {
   JunctionTree tree_;
   std::vector<Factor> potentials_;  // log space, one per tree clique
 
-  // Fixed DFS traversal from clique 0 shared by full calibration and the
-  // dirty-subtree computation: order0_ is post-order (children first),
-  // parent0_/parent_edge0_ the DFS tree.
+  // Fixed DFS traversal from clique 0 for the dirty-subtree computation:
+  // order0_ is post-order (children first), parent0_/parent_edge0_ the DFS
+  // tree.
   std::vector<int> order0_;
   std::vector<int> parent0_;
   std::vector<int> parent_edge0_;

@@ -1,6 +1,7 @@
 #include "serve/job_manager.h"
 
 #include <cmath>
+#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "mechanisms/registry.h"
 #include "mechanisms/synthesis.h"
 #include "obs/metrics.h"
+#include "pgm/junction_tree.h"
 
 namespace aim {
 namespace {
@@ -253,6 +255,20 @@ StatusOr<std::vector<double>> JobManager::QueryMarginal(
     return InvalidArgumentError("query needs at least one attribute");
   }
   const AttrSet attr_set{std::vector<int>(attrs)};
+  // Answering a query builds factors up to the junction tree of the model
+  // plus the query, so refuse one that the job's own capacity bound would
+  // have refused as an AIM candidate, before any factor is allocated.
+  std::vector<AttrSet> cliques = job->model->tree().cliques;
+  cliques.push_back(attr_set);
+  const double size_mb = JtSizeMb(job->model->domain(), cliques);
+  const double max_size_mb = job->spec.run.options.max_size_mb;
+  if (!(size_mb <= max_size_mb)) {
+    char message[128];
+    std::snprintf(message, sizeof(message),
+                  "query junction tree needs %.6g MB, over the job's "
+                  "max_size_mb of %g", size_mb, max_size_mb);
+    return OutOfRangeError(message);
+  }
   if (sizes != nullptr) {
     sizes->clear();
     for (int attr : attr_set) sizes->push_back(job->domain.size(attr));

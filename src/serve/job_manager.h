@@ -134,7 +134,9 @@ class JobManager {
   Status Cancel(const std::string& id);
 
   // Answers a post-hoc marginal query against a completed job's model —
-  // measurement-log post-processing, zero additional privacy cost.
+  // measurement-log post-processing, zero additional privacy cost. A query
+  // whose JT-SIZE over the model's cliques exceeds the job's max_size_mb is
+  // refused with OUT_OF_RANGE (HTTP 400) before anything is computed.
   StatusOr<std::vector<double>> QueryMarginal(
       const std::string& id, const std::vector<std::string>& attr_names,
       std::vector<int>* sizes);

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <new>
 #include <ostream>
@@ -9,17 +10,13 @@
 
 #include <gtest/gtest.h>
 
-#include "data/simulators.h"
 #include "factor/factor.h"
 #include "factor/kernel_plan.h"
-#include "factor/kernels.h"
 #include "factor/simd_dispatch.h"
 #include "factor/workspace.h"
-#include "marginal/workload.h"
-#include "mechanisms/aim.h"
 #include "parallel/thread_pool.h"
-#include "pgm/inference.h"
 #include "pgm/markov_random_field.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 // ------------------------------------------------- allocation counting ----
@@ -325,15 +322,15 @@ INSTANTIATE_TEST_SUITE_P(Targets, FactorMarginalizeTest,
                                            std::vector<int>{0, 2, 3},
                                            std::vector<int>{}));
 
-// ------------------------------------------ flat kernels == seed kernels --
+// ---------------------------------------- flat kernels == odometer oracle --
 // The loop-collapse kernels (DESIGN.md "Factor kernels") promise bitwise
-// identical results to the seed odometer path. These tests run every
-// rewritten operation under both switch positions and memcmp the bits.
+// identical results to a per-cell odometer walk. These tests run every
+// planned operation and the odometer oracle in tests/test_util.h on the
+// same inputs and memcmp the bits.
 
-// Restores the flat-kernel switch, SIMD level, and thread count on exit.
+// Restores the SIMD level and thread count on exit.
 struct KernelConfigGuard {
   ~KernelConfigGuard() {
-    SetFlatKernelsEnabled(true);
     SetSimdLevel(DefaultSimdLevel());
     SetParallelThreads(0);
   }
@@ -357,36 +354,56 @@ void ExpectBitwiseEq(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size()) << what;
   if (!a.empty()) {
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
-        << what << " differs bitwise between flat and seed kernels";
+        << what << " differs bitwise";
   }
 }
 
-// Runs every rewritten kernel on (a, b) and returns the concatenated result
-// bits, so one vector comparison covers the whole operation set. `b`'s
+// Runs every factor kernel on (a, b) and returns the concatenated result
+// bits, so one vector comparison covers the whole operation set. With
+// `oracle` the planned kernels (binary ops, AddInPlace, SumTo, LogSumExpTo)
+// are the odometer references from tests/test_util.h; the elementwise
+// kernels, which have no plan, then run on the oracle's outputs. `b`'s
 // attrs must be a subset of `a.Add(b)`'s union (always true).
 std::vector<double> RunAllKernels(const Factor& a, const Factor& b,
-                                  const AttrSet& marg_target) {
+                                  const AttrSet& marg_target, bool oracle) {
+  using namespace testing_util;
   std::vector<double> out;
   auto append = [&out](const std::vector<double>& v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  Factor sum = a.Add(b);
+  Factor sum = oracle ? OdometerBinaryOp(a, b, std::plus<double>()) : a.Add(b);
   append(sum.values());
-  append(a.Subtract(b).values());
-  append(a.Multiply(b).values());
+  append(oracle ? OdometerBinaryOp(a, b, std::minus<double>()).values()
+                : a.Subtract(b).values());
+  append(oracle ? OdometerBinaryOp(a, b, std::multiplies<double>()).values()
+                : a.Multiply(b).values());
 
   Factor acc = sum;  // union shape: both a and b are subsets
-  acc.AddInPlace(a, 1.75);
-  acc.AddInPlace(b, -0.5);
+  if (oracle) {
+    OdometerAddInPlace(&acc, a, 1.75);
+    OdometerAddInPlace(&acc, b, -0.5);
+  } else {
+    acc.AddInPlace(a, 1.75);
+    acc.AddInPlace(b, -0.5);
+  }
   append(acc.values());
 
-  append(sum.SumTo(marg_target).values());
-  append(sum.LogSumExpTo(marg_target).values());
-  Factor into;
-  sum.SumToInto(marg_target, &into);
-  append(into.values());
-  sum.LogSumExpToInto(marg_target, &into);
-  append(into.values());
+  const Factor marg = oracle ? OdometerSumTo(sum, marg_target)
+                             : sum.SumTo(marg_target);
+  const Factor log_marg = oracle ? OdometerLogSumExpTo(sum, marg_target)
+                                 : sum.LogSumExpTo(marg_target);
+  append(marg.values());
+  append(log_marg.values());
+  if (oracle) {
+    append(marg.values());
+    append(log_marg.values());
+  } else {
+    Factor into;
+    sum.SumToInto(marg_target, &into);
+    append(into.values());
+    sum.LogSumExpToInto(marg_target, &into);
+    append(into.values());
+  }
 
   Factor ex = sum;
   ex.ExpInPlace(0.25);
@@ -438,18 +455,16 @@ FactorPair RandomPair(Rng& rng) {
 
 TEST(FlatKernelTest, RandomizedShapesMatchSeedBitwise) {
   KernelConfigGuard guard;
-  // Bitwise identity to the seed odometer is promised by the *scalar* SIMD
-  // table; the AVX transcendental kernels are tolerance-gated instead
+  // Bitwise identity to the odometer oracle is promised by the *scalar*
+  // SIMD table; the AVX transcendental kernels are tolerance-gated instead
   // (tests/simd_test.cc).
   SetSimdLevel(SimdLevel::kScalar);
   Rng rng(4242);
   for (int trial = 0; trial < 40; ++trial) {
     FactorPair pair = RandomPair(rng);
-    SetFlatKernelsEnabled(false);
-    std::vector<double> seed = RunAllKernels(pair.a, pair.b, pair.target);
-    SetFlatKernelsEnabled(true);
-    std::vector<double> flat = RunAllKernels(pair.a, pair.b, pair.target);
-    ExpectBitwiseEq(seed, flat, "randomized kernel sweep");
+    ExpectBitwiseEq(RunAllKernels(pair.a, pair.b, pair.target, true),
+                    RunAllKernels(pair.a, pair.b, pair.target, false),
+                    "randomized kernel sweep");
   }
 }
 
@@ -458,7 +473,7 @@ TEST(FlatKernelTest, LargeFactorsMatchSeedBitwiseAtAnyThreadCount) {
   SetSimdLevel(SimdLevel::kScalar);  // see RandomizedShapesMatchSeedBitwise
   // 32*32*34 = 34816 cells >= the parallel threshold (1 << 15), so the
   // chunked parallel paths run; 1-thread and 8-thread runs must agree with
-  // each other and with the seed path bit for bit.
+  // each other and with the odometer oracle bit for bit.
   Rng rng(77);
   Factor a({0, 1, 2}, {32, 32, 34});
   for (double& v : a.mutable_values()) v = rng.Uniform(-2.0, 2.0);
@@ -466,17 +481,71 @@ TEST(FlatKernelTest, LargeFactorsMatchSeedBitwiseAtAnyThreadCount) {
   for (double& v : b.mutable_values()) v = rng.Uniform(-2.0, 2.0);
   AttrSet target({0, 2});
 
-  std::vector<std::vector<double>> runs;
-  for (bool flat : {false, true}) {
-    for (int threads : {1, 8}) {
-      SetFlatKernelsEnabled(flat);
-      SetParallelThreads(threads);
-      runs.push_back(RunAllKernels(a, b, target));
-    }
+  const std::vector<double> reference = RunAllKernels(a, b, target, true);
+  for (int threads : {1, 8}) {
+    SetParallelThreads(threads);
+    ExpectBitwiseEq(reference, RunAllKernels(a, b, target, false),
+                    "large-factor kernel sweep");
   }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    ExpectBitwiseEq(runs[0], runs[r], "large-factor kernel sweep");
+}
+
+// Planner totality: a shape with more fused groups than any small fixed
+// bound. 20 binary axes with operand membership alternating (a carries the
+// even axes, b the odd ones) leave no two adjacent axes fusable, so the
+// union walk has 20 groups for the binary ops and AddInPlace; 2^20 cells
+// also cross the parallel threshold.
+TEST(FlatKernelTest, PlansManyAlternatingGroupsAndMatchesOracle) {
+  KernelConfigGuard guard;
+  SetSimdLevel(SimdLevel::kScalar);
+  const int kAxes = 20;
+  std::vector<int> even, odd;
+  for (int attr = 0; attr < kAxes; ++attr) {
+    (attr % 2 == 0 ? even : odd).push_back(attr);
   }
+  Rng rng(2020);
+  Factor a(even, std::vector<int>(even.size(), 2));
+  for (double& v : a.mutable_values()) v = rng.Uniform(-2.0, 2.0);
+  Factor b(odd, std::vector<int>(odd.size(), 2));
+  for (double& v : b.mutable_values()) v = rng.Uniform(-2.0, 2.0);
+
+  const Factor joint = a.Multiply(b);
+  const std::vector<int64_t> sa = testing_util::OdometerStrides(joint, a);
+  const std::vector<int64_t> sb = testing_util::OdometerStrides(joint, b);
+  const std::vector<int64_t>* strides[2] = {&sa, &sb};
+  const KernelPlan* plan =
+      FactorWorkspace::Get().GetPlan(joint.sizes(), strides, 2);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->num_outer, kAxes - 1);
+  EXPECT_EQ(plan->total, int64_t{1} << kAxes);
+
+  const AttrSet target({1, 4, 7, 18});
+  const std::vector<double> reference = RunAllKernels(a, b, target, true);
+  for (int threads : {1, 8}) {
+    SetParallelThreads(threads);
+    ExpectBitwiseEq(reference, RunAllKernels(a, b, target, false),
+                    "alternating-groups kernel sweep");
+  }
+}
+
+// Size-1 axes never count toward the planner's bound or its cache key: a
+// factor with 100 axes, all but three of size 1, plans like its 3-axis core.
+TEST(FlatKernelTest, DegenerateAxesDoNotCountTowardPlanRank) {
+  KernelConfigGuard guard;
+  SetSimdLevel(SimdLevel::kScalar);
+  std::vector<int> attrs(100), sizes(100, 1);
+  for (int i = 0; i < 100; ++i) attrs[i] = i;
+  sizes[10] = 3;
+  sizes[50] = 4;
+  sizes[99] = 5;
+  Rng rng(100);
+  Factor a(attrs, sizes);
+  for (double& v : a.mutable_values()) v = rng.Uniform(-2.0, 2.0);
+  Factor b({20, 50}, {1, 4});
+  for (double& v : b.mutable_values()) v = rng.Uniform(-2.0, 2.0);
+  const AttrSet target({10, 20, 99});
+  ExpectBitwiseEq(RunAllKernels(a, b, target, true),
+                  RunAllKernels(a, b, target, false),
+                  "degenerate-axes kernel sweep");
 }
 
 TEST(FlatKernelTest, SumToIntoReusesCapacityAndMatchesSumTo) {
@@ -496,8 +565,6 @@ TEST(FlatKernelTest, SumToIntoReusesCapacityAndMatchesSumTo) {
 }
 
 TEST(FlatKernelTest, PlanCacheHitsOnRepeatedShapes) {
-  KernelConfigGuard guard;
-  SetFlatKernelsEnabled(true);
   Rng rng(5);
   Factor a = RandomFactor({0, 1}, {6, 7}, rng);
   Factor b = RandomFactor({1}, {7}, rng);
@@ -516,7 +583,8 @@ TEST(FlatKernelTest, PlanCacheHitsOnRepeatedShapes) {
 // out as -inf — "this group has zero probability" — instead of propagating
 // the NaN. (A mixed NaN/finite group already produced NaN through pass 2's
 // exp(NaN - m).) A NaN contribution must poison exactly its destination
-// cell, on the seed odometer, the flat scalar kernels, and every SIMD body.
+// cell, on the odometer oracle, the flat scalar kernels, and every SIMD
+// body.
 TEST(FactorNumericEdgeCaseTest, NanInputPoisonsLogSumExpCell) {
   KernelConfigGuard guard;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -548,32 +616,37 @@ TEST(FactorNumericEdgeCaseTest, NanInputPoisonsLogSumExpCell) {
   by_col.mutable_values()[17] = nan;
   by_col.mutable_values()[kCols + 17] = nan;
 
-  for (bool flat : {false, true}) {
-    SetFlatKernelsEnabled(flat);
-    for (SimdLevel level : SupportedSimdLevels()) {
-      SetSimdLevel(level);
-      Factor rows = by_row.LogSumExpTo(AttrSet({0}));
-      EXPECT_TRUE(std::isnan(rows.value(0)))
-          << "all-NaN row, flat=" << flat << " level=" << ToString(level);
-      EXPECT_NEAR(rows.value(1), row1_lse, 1e-12)
-          << "clean row, flat=" << flat << " level=" << ToString(level);
-      Factor cols = by_col.LogSumExpTo(AttrSet({1}));
-      for (int j = 0; j < kCols; ++j) {
-        if (j == 17) {
-          EXPECT_TRUE(std::isnan(cols.value(j)))
-              << "all-NaN column, flat=" << flat
-              << " level=" << ToString(level);
-        } else {
-          EXPECT_FALSE(std::isnan(cols.value(j)))
-              << "clean column " << j << ", flat=" << flat
-              << " level=" << ToString(level);
-        }
+  // The odometer oracle first, then the product kernels at every SIMD level.
+  struct Run {
+    bool oracle;
+    SimdLevel level;
+  };
+  std::vector<Run> runs = {{true, SimdLevel::kScalar}};
+  for (SimdLevel level : SupportedSimdLevels()) runs.push_back({false, level});
+  for (const Run& run : runs) {
+    SetSimdLevel(run.level);
+    auto lse = [&run](const Factor& f, const AttrSet& target) {
+      return run.oracle ? testing_util::OdometerLogSumExpTo(f, target)
+                        : f.LogSumExpTo(target);
+    };
+    const std::string where =
+        run.oracle ? "oracle" : std::string(ToString(run.level));
+    Factor rows = lse(by_row, AttrSet({0}));
+    EXPECT_TRUE(std::isnan(rows.value(0))) << "all-NaN row, " << where;
+    EXPECT_NEAR(rows.value(1), row1_lse, 1e-12) << "clean row, " << where;
+    Factor cols = lse(by_col, AttrSet({1}));
+    for (int j = 0; j < kCols; ++j) {
+      if (j == 17) {
+        EXPECT_TRUE(std::isnan(cols.value(j))) << "all-NaN column, " << where;
+      } else {
+        EXPECT_FALSE(std::isnan(cols.value(j)))
+            << "clean column " << j << ", " << where;
       }
-      // Mixed NaN/finite group (row 0 of by_col contains one NaN).
-      Factor mixed = by_col.LogSumExpTo(AttrSet({0}));
-      EXPECT_TRUE(std::isnan(mixed.value(0)));
-      EXPECT_TRUE(std::isnan(mixed.value(1)));
     }
+    // Mixed NaN/finite group (row 0 of by_col contains one NaN).
+    Factor mixed = lse(by_col, AttrSet({0}));
+    EXPECT_TRUE(std::isnan(mixed.value(0))) << where;
+    EXPECT_TRUE(std::isnan(mixed.value(1))) << where;
   }
 }
 
@@ -601,7 +674,7 @@ TEST(FactorNumericEdgeCaseTest, ExpOfAllNegInfFactorIsZero) {
 // ------------------------------------------- plan cache collisions ----
 
 bool PlansEqual(const KernelPlan& x, const KernelPlan& y) {
-  if (x.valid != y.valid || x.num_operands != y.num_operands ||
+  if (x.num_operands != y.num_operands ||
       x.num_outer != y.num_outer || x.inner_size != y.inner_size ||
       x.total != y.total) {
     return false;
@@ -647,8 +720,8 @@ TEST(FlatKernelTest, PlanCacheServesCorrectPlanUnderCollisions) {
     const std::vector<int64_t>* strides[2] = {&stride_bufs[0],
                                               &stride_bufs[1]};
     const KernelPlan* cached = ws.GetPlan(sizes, strides, num_operands);
-    const KernelPlan fresh = BuildKernelPlan(sizes, strides, num_operands);
-    ASSERT_NE(cached, nullptr);  // rank <= 4 is always plannable
+    KernelPlan fresh;
+    BuildKernelPlan(sizes, strides, num_operands, &fresh);
     ASSERT_TRUE(PlansEqual(*cached, fresh))
         << "cached plan differs from fresh build at trial " << trial;
   }
@@ -657,15 +730,11 @@ TEST(FlatKernelTest, PlanCacheServesCorrectPlanUnderCollisions) {
 // --------------------------------------- zero-allocation steady state ----
 
 TEST(FlatKernelTest, CalibrateAllocatesNothingAfterWarmup) {
-  KernelConfigGuard guard;
-  struct CacheGuard {
-    ~CacheGuard() { SetInferenceCacheEnabled(true); }
-  } cache_guard;
-  // Cache-off Calibrate eagerly recomputes every message, belief, and the
-  // partition function inside the call, into slots allocated on the first
-  // pass. Factors stay far below the parallel threshold so everything runs
-  // serially on this thread (parallel dispatch heap-allocates closures).
-  SetInferenceCacheEnabled(false);
+  // A step of estimation: dirty every clique, Calibrate, then read every
+  // belief and the partition function, which recomputes every message in
+  // both directions into slots allocated on the first pass. Factors stay
+  // far below the parallel threshold so everything runs serially on this
+  // thread (parallel dispatch heap-allocates closures).
   std::vector<int> sizes(7, 3);
   Domain domain = Domain::WithSizes(sizes);
   std::vector<AttrSet> cliques;
@@ -678,55 +747,44 @@ TEST(FlatKernelTest, CalibrateAllocatesNothingAfterWarmup) {
     model.SetPotential(c, std::move(potential));
   }
   model.set_total(500.0);
-  model.Calibrate();  // warm-up: allocates messages, beliefs, scratch
-  model.Calibrate();  // warm-up: everything reaches steady-state capacity
+  std::vector<Factor> deltas;
+  for (const AttrSet& clique : model.tree().cliques) {
+    deltas.push_back(Factor::FromDomain(domain, clique, 0.01));
+  }
+  double scale = 1.0;
+  auto step = [&] {
+    for (int c = 0; c < model.num_cliques(); ++c) {
+      model.AccumulatePotential(c, deltas[c], scale);
+    }
+    scale = -scale;
+    model.Calibrate();
+    double sink = model.LogPartition();
+    for (int c = 0; c < model.num_cliques(); ++c) {
+      sink += model.CliqueBelief(c).value(0);
+    }
+    return sink;
+  };
+  step();  // warm-up: allocates messages, beliefs, scratch
+  step();  // warm-up: everything reaches steady-state capacity
 
   const int64_t before = HeapAllocations();
-  model.Calibrate();
+  const double sink = step();
   const int64_t after = HeapAllocations();
   EXPECT_EQ(after - before, 0)
-      << "steady-state Calibrate performed heap allocations";
+      << "steady-state dirty-all Calibrate performed heap allocations";
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
-// ----------------------------------------------- end-to-end determinism --
+// ------------------------------------------- cell-count overflow ----
 
-TEST(FlatKernelEndToEndTest, AimSyntheticBytesInvariantToKernelsAndThreads) {
-  KernelConfigGuard guard;
-  // Flat-off runs the seed odometer, which matches the flat path bitwise
-  // only at the scalar SIMD level (the e2e SIMD-vs-scalar comparison is
-  // tolerance-gated in tests/simd_test.cc).
-  SetSimdLevel(SimdLevel::kScalar);
-  Domain domain = Domain::WithSizes({2, 3, 4, 2, 3});
-  Rng data_rng(808);
-  Dataset data = SampleRandomBayesNet(domain, 800, 2, 0.4, data_rng);
-  Workload workload = AllKWayWorkload(domain, 2);
-  AimOptions options;
-  options.max_size_mb = 20.0;
-  options.round_estimation.max_iters = 30;
-  options.final_estimation.max_iters = 80;
-
-  std::vector<std::vector<std::vector<int32_t>>> runs;
-  for (bool flat : {true, false}) {
-    for (int threads : {1, 8}) {
-      SetFlatKernelsEnabled(flat);
-      SetParallelThreads(threads);
-      AimMechanism aim(options);
-      Rng rng(2024);
-      MechanismResult result = aim.Run(data, workload, 0.2, rng);
-      std::vector<std::vector<int32_t>> columns;
-      for (int a = 0; a < domain.num_attributes(); ++a) {
-        columns.push_back(result.synthetic.column(a));
-      }
-      runs.push_back(std::move(columns));
-    }
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[0].size(), runs[r].size());
-    for (size_t a = 0; a < runs[0].size(); ++a) {
-      EXPECT_EQ(runs[0][a], runs[r][a])
-          << "synthetic column " << a << " differs in configuration " << r;
-    }
-  }
+TEST(FactorDeathTest, CellCountOverflowAborts) {
+  // 2^80 cells: the product wraps int64 on the fourth axis.
+  EXPECT_DEATH(Factor({0, 1, 2, 3}, {1 << 20, 1 << 20, 1 << 20, 1 << 20}),
+               "overflows int64");
+  // 63 binary axes: 2^63 is one past INT64_MAX.
+  std::vector<int> attrs(63);
+  for (int i = 0; i < 63; ++i) attrs[i] = i;
+  EXPECT_DEATH(Factor(attrs, std::vector<int>(63, 2)), "overflows int64");
 }
 
 }  // namespace

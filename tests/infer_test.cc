@@ -1,20 +1,15 @@
 // Tests for the inference engine layer (DESIGN.md "Inference engine"):
 // dirty-clique message caching in Calibrate(), batched AnswerMarginals, the
-// own-mass normalization of Marginal, and the end-to-end bitwise-invariance
-// guarantees (cache on == cache off, batched == sequential, any thread
-// count).
+// own-mass normalization of Marginal, and the bitwise-invariance guarantees
+// (cached == freshly built model, batched == sequential, any thread count).
 
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "data/simulators.h"
-#include "marginal/workload.h"
-#include "mechanisms/aim.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
-#include "pgm/inference.h"
 #include "pgm/markov_random_field.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -22,11 +17,10 @@
 namespace aim {
 namespace {
 
-// Restores global knobs (threads, cache switch, metrics) when a test exits.
+// Restores global knobs (threads, metrics) when a test exits.
 struct GlobalConfigGuard {
   ~GlobalConfigGuard() {
     SetParallelThreads(0);
-    SetInferenceCacheEnabled(true);
     SetMetricsEnabled(false);
   }
 };
@@ -144,20 +138,10 @@ TEST(DirtyCalibrateTest, MatchesFullRecalibrationBitwise) {
     fresh.AccumulatePotential(3, delta, 1.0);
     fresh.Calibrate();
 
-    // And a cache-disabled model: eager full recalibration, seed behavior.
-    SetInferenceCacheEnabled(false);
-    MarkovRandomField eager = ChainModel(8, /*seed=*/31);
-    eager.AccumulatePotential(3, delta, 1.0);
-    eager.Calibrate();
-    SetInferenceCacheEnabled(true);
-
     for (const AttrSet& q : queries) {
-      std::vector<double> from_cached = cached.MarginalVector(q);
-      ExpectBitwiseEq(from_cached, fresh.MarginalVector(q));
-      ExpectBitwiseEq(from_cached, eager.MarginalVector(q));
+      ExpectBitwiseEq(cached.MarginalVector(q), fresh.MarginalVector(q));
     }
     EXPECT_EQ(cached.LogPartition(), fresh.LogPartition());
-    EXPECT_EQ(cached.LogPartition(), eager.LogPartition());
   }
 }
 
@@ -281,14 +265,6 @@ TEST(InferenceCacheTest, StructureChangeStartsFromFullCalibration) {
   }
 }
 
-TEST(InferenceCacheTest, ToggleReadsEnvironmentDefaultOn) {
-  EXPECT_TRUE(InferenceCacheEnabled());
-  SetInferenceCacheEnabled(false);
-  EXPECT_FALSE(InferenceCacheEnabled());
-  SetInferenceCacheEnabled(true);
-  EXPECT_TRUE(InferenceCacheEnabled());
-}
-
 // ------------------------------------------------- normalization bugfix --
 
 TEST(NormalizationTest, CliquePathAndVePathAgreeBitwise) {
@@ -328,53 +304,6 @@ TEST(NormalizationTest, BothPathsMatchBruteForceOnCoveredQueries) {
     EXPECT_LT(testing_util::MaxAbsDiff(
                   model.MarginalViaVariableElimination(q).values(), expected),
               1e-8);
-  }
-}
-
-// ------------------------------------------- AIM end-to-end equivalence --
-
-Dataset RunAimSynthetic(const Dataset& data, const Workload& workload) {
-  AimOptions options;
-  options.max_size_mb = 20.0;
-  options.round_estimation.max_iters = 30;
-  options.final_estimation.max_iters = 80;
-  AimMechanism aim(options);
-  Rng rng(2024);
-  MechanismResult result = aim.Run(data, workload, /*rho=*/0.2, rng);
-  EXPECT_TRUE(result.has_synthetic);
-  return std::move(result.synthetic);
-}
-
-TEST(InferenceCacheTest, AimEndToEndBitwiseIdenticalCacheOnOffAndThreads) {
-  GlobalConfigGuard guard;
-  Rng rng(808);
-  Domain domain = Domain::WithSizes({2, 3, 4, 2, 3});
-  Dataset data = SampleRandomBayesNet(domain, 800, 2, 0.4, rng);
-  Workload workload = AllKWayWorkload(domain, 2);
-
-  SetParallelThreads(1);
-  SetInferenceCacheEnabled(true);
-  Dataset reference = RunAimSynthetic(data, workload);
-  ASSERT_GT(reference.num_records(), 0);
-
-  struct Config {
-    bool cache;
-    int threads;
-  };
-  for (Config config : {Config{false, 1}, Config{true, 8}, Config{false, 8}}) {
-    SetInferenceCacheEnabled(config.cache);
-    SetParallelThreads(config.threads);
-    Dataset synthetic = RunAimSynthetic(data, workload);
-    ASSERT_EQ(synthetic.num_records(), reference.num_records());
-    for (int attr = 0; attr < domain.num_attributes(); ++attr) {
-      const std::vector<int32_t>& a = reference.column(attr);
-      const std::vector<int32_t>& b = synthetic.column(attr);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_EQ(0,
-                std::memcmp(a.data(), b.data(), a.size() * sizeof(int32_t)))
-          << "synthetic data differs (cache=" << config.cache
-          << " threads=" << config.threads << ") at attribute " << attr;
-    }
   }
 }
 

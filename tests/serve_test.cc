@@ -640,6 +640,49 @@ TEST_F(ServeHttpTest, RoutesAndTenantRefusalOverHttp) {
   server.Shutdown();
 }
 
+// A /query whose junction tree (the model's cliques plus the query) is over
+// the job's own max_size_mb is refused with a 400 before any factor is
+// built; the daemon keeps answering. Unbounded, an all-attribute query on a
+// wide domain asks for more memory than the host has and kills the process.
+TEST_F(ServeHttpTest, OversizedQueryIsRefusedAndServerStaysUp) {
+  options_.default_tenant_rho = 100.0;
+  Server server(options_);
+  // 800 bytes: room for the one-way model, not for the 4*3*5*2 = 120-cell
+  // (960-byte) joint of all four attributes.
+  const std::string id =
+      Submit(server, "{\"dataset\":\"" + dataset_ +
+                         "\",\"workload\":\"all2way\",\"seed\":7,"
+                         "\"max_size_mb\":0.0008}");
+  ASSERT_EQ(last_response_.status, 202) << last_response_.body;
+  ASSERT_TRUE(server.jobs().WaitIdle(300.0));
+  std::shared_ptr<Job> job = server.jobs().Find(id);
+  ASSERT_NE(job, nullptr);
+  ASSERT_TRUE(WaitForState(job, Job::State::kDone, 1.0)) << job->error;
+
+  auto query = [&](const std::string& attrs) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = "/jobs/" + id + "/query";
+    request.body = "{\"attrs\":[" + attrs + "]}";
+    return server.Handle(request);
+  };
+  HttpResponse refused = query("\"a\",\"b\",\"c\",\"d\"");
+  EXPECT_EQ(refused.status, 400);
+  EXPECT_NE(refused.body.find("max_size_mb"), std::string::npos)
+      << refused.body;
+
+  HttpRequest health;
+  health.method = "GET";
+  health.path = "/healthz";
+  EXPECT_EQ(server.Handle(health).status, 200);
+  HttpResponse answered = query("\"a\"");
+  ASSERT_EQ(answered.status, 200) << answered.body;
+  StatusOr<JsonValue> json = ParseJson(answered.body);
+  ASSERT_TRUE(json.ok());
+  EXPECT_EQ(json->Find("cells")->array().size(), 4u);
+  server.Shutdown();
+}
+
 TEST_F(ServeHttpTest, RateLimiterRefusesFloods) {
   options_.rate_burst = 2.0;
   options_.rate_per_second = 0.0;  // no refill: deterministic

@@ -22,7 +22,6 @@
 
 #include "data/simulators.h"
 #include "factor/factor.h"
-#include "factor/kernels.h"
 #include "factor/simd_dispatch.h"
 #include "marginal/workload.h"
 #include "mechanisms/aim.h"
